@@ -1,9 +1,10 @@
 // Streaming fleet-service soak (DESIGN.md §17, EXPERIMENTS.md runbook).
 //
 // Boots the resident staged pipeline over a synthetic fleet and streams
-// shots through capture → ISP → codec → decode → inference → aggregate
-// under backpressure, deadlines, load shedding and per-device circuit
-// breakers. Reports throughput, per-stage queue pressure, shed/timeout/
+// shots through develop (capture → ISP → codec → decode, one pooled task
+// per shot) → inference → aggregate under backpressure, deadlines, load
+// shedding and per-device circuit breakers. Reports throughput,
+// per-stage queue pressure and busy/blocked time, shed/timeout/
 // breaker counts and the modeled latency tail; guards the deterministic
 // surface (aggregate, ledger, breaker, telemetry digests) across runs.
 //
@@ -108,8 +109,10 @@ int main(int argc, char** argv) {
 
   config.checkpoint_every_slots =
       static_cast<int>(int_flag(argc, argv, "--ckpt-slots", 0));
-  config.checkpoint_path =
-      string_flag(argc, argv, "--ckpt", "bench_out/fleet_soak.ckpt.json");
+  // Default artifact paths carry the tier-decorated run name
+  // (fleet_soak__int8.ckpt.json), so tiers never overwrite each other.
+  config.checkpoint_path = string_flag(
+      argc, argv, "--ckpt", "bench_out/" + run.name() + ".ckpt.json");
   config.resume = bool_flag(argc, argv, "--resume");
   const long long kill_after =
       int_flag(argc, argv, "--kill-after-ckpt", 0);
@@ -157,14 +160,17 @@ int main(int argc, char** argv) {
   outcome_row("decode-lost", report.agg.decode_lost);
   std::printf("%s\n", outcomes.str().c_str());
 
-  Table stages({"STAGE", "WORKERS", "CAP", "HIGH-WATER", "PROCESSED"});
+  Table stages({"STAGE", "WORKERS", "CAP", "HIGH-WATER", "PROCESSED",
+                "BUSY-MS", "POP-WAIT-MS", "PUSH-WAIT-MS"});
   std::size_t peak_depth = 0;
   for (const service::StageStats& s : report.stages) {
     peak_depth = std::max(peak_depth, s.high_water);
     stages.add_row({s.name, std::to_string(s.workers),
                     std::to_string(s.capacity),
                     std::to_string(s.high_water),
-                    std::to_string(s.processed)});
+                    std::to_string(s.processed), Table::num(s.busy_ms, 1),
+                    Table::num(s.blocked_pop_ms, 1),
+                    Table::num(s.blocked_push_ms, 1)});
   }
   std::printf("%s\n", stages.str().c_str());
 
@@ -289,8 +295,8 @@ int main(int argc, char** argv) {
   }
 
   // The offline artifact (edgestab_sentinel soak FILE re-renders it).
-  std::string out_path =
-      string_flag(argc, argv, "--soak-out", "bench_out/fleet_soak.soak.json");
+  std::string out_path = string_flag(argc, argv, "--soak-out",
+                                     "bench_out/" + run.name() + ".soak.json");
   std::string dir;
   if (bench::ensure_out_dir(dir)) {
     std::string error;

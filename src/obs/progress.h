@@ -28,8 +28,8 @@ class ProgressMeter {
 
   /// Optional live-status source: a short free-form suffix (the service
   /// pipeline installs one reporting per-stage queue depths and the
-  /// running shed count, e.g. " q cap:3 isp:1 inf:12 shed 42"). Same
-  /// plain-function-pointer decoupling as the alert source; advisory
+  /// running shed count, e.g. " q dev 3 inf 12 out 0 shed 42 rej 0").
+  /// Same plain-function-pointer decoupling as the alert source; advisory
   /// wall-clock state, never part of any deterministic artifact.
   using StatusTextFn = std::string (*)();
 

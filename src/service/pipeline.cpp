@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <climits>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "codec/codec.h"
@@ -35,6 +38,7 @@
 #include "runtime/worker.h"
 #include "service/checkpoint.h"
 #include "service/queue.h"
+#include "tensor/backend.h"
 #include "util/check.h"
 #include "util/hashing.h"
 #include "util/timer.h"
@@ -62,6 +66,8 @@ fault::DeviceClass device_class_of(int device) {
 
 /// One shot's record, carried through every stage. Stages mutate only
 /// their own fields; terminal (non-kOk) records pass through untouched.
+/// The develop stage keeps its intermediate images local, so a record
+/// in flight carries at most the decoded input tensor.
 struct ShotRec {
   long long g = 0;
   int device = 0;
@@ -91,12 +97,7 @@ struct ShotRec {
   bool trace_sampled = false;
   std::vector<obs::TraceAttempt> trace_attempts;
 
-  // Stage payloads (moved along, released as consumed).
-  RawImage raw;
-  Image developed;
-  Capture capture;
-  Tensor input;
-  bool usable = false;
+  Tensor input;  ///< develop → inference payload (released once classified)
 
   int predicted = -1;
   long long conf_q = 0;  ///< confidence * 1e6, rounded
@@ -119,12 +120,7 @@ using ShotQueue = BoundedQueue<ShotRec>;
 /// source is a plain function pointer, so the installed instance lives
 /// behind a file-scope pointer for the duration of the run.
 struct LiveStatus {
-  ShotQueue* capture = nullptr;
-  ShotQueue* isp = nullptr;
-  ShotQueue* codec = nullptr;
-  ShotQueue* decode = nullptr;
-  ShotQueue* infer = nullptr;
-  ShotQueue* done = nullptr;
+  std::vector<ShotQueue*> queues;  ///< develop, inference, done
   std::atomic<long long> shed{0};
   std::atomic<long long> rejected{0};
   std::atomic<long long> slots_folded{0};
@@ -136,39 +132,27 @@ LiveStatus* g_live = nullptr;
 std::string live_status_text() {
   LiveStatus* live = g_live;
   if (live == nullptr) return "";
-  char buf[224];
+  static const char* const kTags[] = {"dev", "inf", "out"};
+  const std::size_t depth[] = {live->queues[0]->size(),
+                               live->queues[1]->size(),
+                               live->queues[2]->size()};
+  char buf[160];
   int n = std::snprintf(buf, sizeof(buf),
-                        " | q cap %zu isp %zu cod %zu dec %zu inf %zu out %zu"
-                        " shed %lld rej %lld",
-                        live->capture->size(), live->isp->size(),
-                        live->codec->size(), live->decode->size(),
-                        live->infer->size(), live->done->size(),
+                        " | q dev %zu inf %zu out %zu shed %lld rej %lld",
+                        depth[0], depth[1], depth[2],
                         live->shed.load(std::memory_order_relaxed),
                         live->rejected.load(std::memory_order_relaxed));
   if (live->epoch_slots > 0 && n > 0 &&
       n < static_cast<int>(sizeof(buf))) {
     // Timeline heartbeat: current fold epoch + the worst-backlogged
     // stage right now (wall-clock observational, like the queue sizes).
-    struct {
-      const char* name;
-      ShotQueue* q;
-    } stages[] = {{"cap", live->capture}, {"isp", live->isp},
-                  {"cod", live->codec},   {"dec", live->decode},
-                  {"inf", live->infer},   {"out", live->done}};
-    const char* worst = stages[0].name;
-    std::size_t depth = stages[0].q->size();
-    for (const auto& s : stages) {
-      const std::size_t d = s.q->size();
-      if (d > depth) {
-        depth = d;
-        worst = s.name;
-      }
-    }
+    const std::size_t worst = static_cast<std::size_t>(
+        std::max_element(std::begin(depth), std::end(depth)) - depth);
     std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
                   " ep %lld worst %s:%zu",
                   live->slots_folded.load(std::memory_order_relaxed) /
                       live->epoch_slots,
-                  worst, depth);
+                  kTags[worst], depth[worst]);
   }
   return buf;
 }
@@ -179,7 +163,8 @@ long long quantize_us(double ms) {
 
 }  // namespace
 
-std::uint64_t service_config_digest(const ServiceConfig& config) {
+std::uint64_t service_config_digest(const ServiceConfig& config,
+                                    Model& model) {
   Fingerprint fp;
   fp.add(std::string("edgestab-service-config"));
   fp.add(config.devices);
@@ -198,6 +183,12 @@ std::uint64_t service_config_digest(const ServiceConfig& config) {
       fault::FaultInjector::global().enabled() ? 1 : 0));
   const std::vector<PhoneProfile> base = end_to_end_fleet(config.divergence);
   for (const PhoneProfile& p : base) fp.add(profile_digest(p));
+  // The kernel tier and the weights shape every prediction: a resume
+  // across either would blend two environments into one result.
+  fp.add(std::string(backend_name(active_backend())));
+  const Bytes weights = model.save_state();
+  fp.add(fnv1a64(std::span<const std::uint8_t>(weights.data(),
+                                               weights.size())));
   return fp.value();
 }
 
@@ -427,6 +418,49 @@ struct Shared {
   }
 };
 
+/// Wrap a worker body so an exception tears the pipeline down — no peer
+/// blocks forever on a queue that will never move again — before the
+/// WorkerGroup captures it for join().
+template <typename Body>
+std::function<void()> guarded(Shared& shared, Body body) {
+  return [&shared, body = std::move(body)]() mutable {
+    try {
+      body();
+    } catch (...) {
+      shared.abort_all();
+      throw;
+    }
+  };
+}
+
+/// Wall-clock split of one stage's worker time in ns, summed over its
+/// workers (observational; never digested).
+enum ClockBucket { kBusy, kBlockedPop, kBlockedPush, kClockBuckets };
+using StageClock = std::atomic<long long>[kClockBuckets];
+
+/// One worker's share of a StageClock: mark(b) charges the time since
+/// the previous mark to bucket b; the totals land in the stage clock
+/// when the worker exits, however it exits.
+class WorkerClock {
+ public:
+  explicit WorkerClock(StageClock& stage) : stage_(stage) {}
+  ~WorkerClock() {
+    for (int b = 0; b < kClockBuckets; ++b) stage_[b] += ns_[b];
+  }
+  void mark(ClockBucket bucket) {
+    const Clock::time_point now = Clock::now();
+    ns_[bucket] += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       now - last_).count();
+    last_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  StageClock& stage_;
+  Clock::time_point last_ = Clock::now();
+  long long ns_[kClockBuckets] = {};
+};
+
 /// Capture-site fault draws, mirroring the lab rig's event stream but
 /// appended to the record (the aggregator files them).
 bool inject_capture_faults(const Device& dev, ShotRec& r) {
@@ -497,8 +531,12 @@ class Aggregator {
     cells_.resize(devices);
   }
 
-  void run() {
-    while (std::optional<ShotRec> rec = done_.pop()) {
+  void run(StageClock& stage_clock) {
+    WorkerClock clock(stage_clock);
+    while (true) {
+      std::optional<ShotRec> rec = done_.pop();
+      clock.mark(kBlockedPop);
+      if (!rec.has_value()) return;
       buffer_.emplace(rec->g, std::move(*rec));
       while (true) {
         auto it = buffer_.find(next_fold_);
@@ -513,6 +551,7 @@ class Aggregator {
           return;
         }
       }
+      clock.mark(kBusy);
     }
   }
 
@@ -803,7 +842,7 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
                "checkpointing needs a checkpoint path");
   const int devices = config.devices;
   const long long slots = config.shots / devices;
-  const std::uint64_t config_digest = service_config_digest(config);
+  const std::uint64_t config_digest = service_config_digest(config, model);
 
   // ---- Fleet synthesis: cycle the calibrated base fleet, one stream
   // and performance tier per device.
@@ -812,7 +851,7 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   for (int d = 0; d < devices; ++d) {
     Device& dev = fleet[static_cast<std::size_t>(d)];
     dev.profile = base[static_cast<std::size_t>(d) % base.size()];
-    dev.profile.name += "#" + std::to_string(d);
+    dev.profile.name += '#' + std::to_string(d);
     dev.stream = runtime::derive_seed(config.seed, 0x5EDE, d);
     dev.profile.noise_stream = dev.stream;
     dev.cls = device_class_of(d);
@@ -860,8 +899,9 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   // restore (restore_state then overwrites the fresh series with the
   // checkpointed one).
   if (obs::timeline_enabled()) {
-    std::vector<std::string> stage_names = {"capture", "isp",      "codec",
-                                            "decode",  "inference", "aggregate"};
+    // One queue-depth lane per live queue, in Shared::queues order.
+    std::vector<std::string> stage_names = {"develop", "inference",
+                                            "aggregate"};
     std::vector<std::string> class_names;
     for (int c = 0; c < 3; ++c)
       class_names.push_back(
@@ -920,32 +960,24 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   }
   const long long start_g = start_slot * devices;
 
-  // ---- Worker sizing + queues. The single inference worker is the
-  // only stage allowed to touch the global pool (classify_inputs runs a
-  // parallel region; concurrent regions are forbidden — DESIGN.md §6).
-  const int pool_threads = config.threads > 0
-                               ? config.threads
-                               : runtime::ThreadPool::global().threads();
-  const int capture_workers = std::max(1, pool_threads / 2);
-  const int isp_workers = std::max(1, pool_threads / 3);
-  const int codec_workers = std::max(1, pool_threads / 6);
-  const int decode_workers = std::max(1, pool_threads / 6);
+  // ---- Worker sizing + queues. Every develop worker runs whole shots,
+  // so no per-step split has to be guessed; the single inference worker
+  // is the only stage allowed to touch the global pool (classify_inputs
+  // runs a parallel region; concurrent regions are forbidden — DESIGN.md
+  // §6).
+  const int develop_workers = config.threads > 0
+                                  ? config.threads
+                                  : runtime::ThreadPool::global().threads();
 
-  ShotQueue capture_q(64), isp_q(64), codec_q(64), decode_q(64),
-      infer_q(64), done_q(256);
+  ShotQueue develop_q(64), infer_q(64), done_q(256);
+  StageClock develop_clock{}, infer_clock{}, agg_clock{};
   Shared shared;
-  shared.queues = {&capture_q, &isp_q, &codec_q, &decode_q, &infer_q,
-                   &done_q};
+  shared.queues = {&develop_q, &infer_q, &done_q};
   const long long lead_cap = std::max<long long>(
       config.max_inflight, 2LL * devices);
 
   LiveStatus live;
-  live.capture = &capture_q;
-  live.isp = &isp_q;
-  live.codec = &codec_q;
-  live.decode = &decode_q;
-  live.infer = &infer_q;
-  live.done = &done_q;
+  live.queues = shared.queues;
   live.slots_folded.store(start_slot, std::memory_order_relaxed);
   live.epoch_slots = obs::timeline_enabled()
                          ? obs::TimelineRecorder::global().epoch_slots()
@@ -963,186 +995,151 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   SchedulerState final_sched;
   std::mutex final_sched_mu;
 
-  // A stage body: pops from `in`, transforms kOk records, forwards
-  // everything to `out`; on an exception it tears the pipeline down so
-  // no peer blocks forever on a queue that will never move again.
-  auto stage = [&shared](ShotQueue& in, ShotQueue& out, auto&& work) {
-    return [&in, &out, &shared, work = std::forward<decltype(work)>(work)] {
-      try {
-        while (std::optional<ShotRec> rec = in.pop()) {
-          ShotRec r = std::move(*rec);
-          if (r.outcome == ShotOutcome::kOk) work(r);
-          if (!out.push(std::move(r))) break;
-        }
-      } catch (...) {
-        shared.abort_all();
-        throw;
-      }
-    };
-  };
-
-  runtime::WorkerGroup scheduler_group, capture_group, isp_group,
-      codec_group, decode_group, infer_group, agg_group;
-
-  agg_group.spawn([&] {
-    try {
-      aggregator.run();
-    } catch (...) {
-      shared.abort_all();
-      throw;
-    }
-  });
-
-  scheduler_group.spawn([&] {
-    try {
-      const bool checkpointing = config.checkpoint_every_slots > 0;
-      const long long boundary =
-          checkpointing
-              ? static_cast<long long>(config.checkpoint_every_slots) *
-                    devices
-              : 0;
-      for (long long g = start_g; g < config.shots; ++g) {
-        {
-          std::unique_lock<std::mutex> lock(shared.fold_mu);
-          shared.fold_cv.wait(lock, [&] {
-            return shared.stop.load(std::memory_order_relaxed) ||
-                   g - (start_g + shared.folded) < lead_cap;
-          });
-        }
-        if (shared.stop.load(std::memory_order_relaxed)) break;
-        ShotRec r = scheduler.decide(g);
-        if (checkpointing && (g + 1) % boundary == 0) {
-          r.has_snapshot = true;
-          r.snapshot = scheduler.state(g + 1);
-        }
-        if (!capture_q.push(std::move(r))) break;
-      }
-      {
-        std::lock_guard<std::mutex> lock(final_sched_mu);
-        final_sched = scheduler.state(config.shots);
-      }
-      capture_q.close();
-    } catch (...) {
-      shared.abort_all();
-      throw;
-    }
-  });
-
-  for (int w = 0; w < capture_workers; ++w) {
-    capture_group.spawn(stage(capture_q, isp_q, [&](ShotRec& r) {
+  // One admitted shot, start to finish: capture faults + sensor
+  // exposure, ISP, encode, delivery + decode. Each step keeps its own
+  // span so traces and profiles still attribute time per layer; the
+  // intermediate images never leave this worker.
+  auto develop = [&](ShotRec& r) {
+    const Device& dev = fleet[static_cast<std::size_t>(r.device)];
+    RawImage raw;
+    {
       ES_TRACE_SCOPE("service", "capture");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
       if (!inject_capture_faults(dev, r)) return;
-      Pcg32 rng = runtime::derive_rng(config.seed, dev.stream,
-                                      r.stimulus, r.slot);
+      Pcg32 rng = runtime::derive_rng(config.seed, dev.stream, r.stimulus,
+                                      r.slot);
       const std::size_t base_idx =
           static_cast<std::size_t>(r.device) % base.size();
-      r.raw = expose_sensor(
+      raw = expose_sensor(
           framed[base_idx][static_cast<std::size_t>(r.stimulus)],
           dev.profile.sensor, rng);
-    }));
-  }
-
-  for (int w = 0; w < isp_workers; ++w) {
-    isp_group.spawn(stage(isp_q, codec_q, [&](ShotRec& r) {
-      ES_TRACE_SCOPE("service", "isp");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
-      r.developed = run_isp(r.raw, dev.profile.isp);
-      r.raw = RawImage{};
-    }));
-  }
-
-  for (int w = 0; w < codec_workers; ++w) {
-    codec_group.spawn(stage(codec_q, decode_q, [&](ShotRec& r) {
-      ES_TRACE_SCOPE("service", "codec");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
-      r.capture.format = dev.profile.storage_format;
-      r.capture.quality = dev.profile.storage_quality;
-      auto codec = make_codec(dev.profile.storage_format,
-                              dev.profile.storage_quality);
-      r.capture.file = codec->encode(to_u8(r.developed));
-      r.developed = Image{};
-    }));
-  }
-
-  for (int w = 0; w < decode_workers; ++w) {
-    decode_group.spawn(stage(decode_q, infer_q, [&](ShotRec& r) {
-      ES_TRACE_SCOPE("service", "decode");
-      const Device& dev = fleet[static_cast<std::size_t>(r.device)];
-      ShotDelivery delivery = deliver_shot_collect(
-          r.capture, r.device, dev.stream, static_cast<int>(r.slot), 0,
-          dev.profile.os_decoder, r.events);
-      r.delivery_attempts = delivery.attempts;
-      r.delivery_delay_ms = delivery.delay_ms;
-      r.capture = Capture{};
-      if (!delivery.usable) {
-        r.outcome = ShotOutcome::kDecodeLost;
-        return;
-      }
-      r.input = capture_to_input(delivery.image);
-      r.usable = true;
-    }));
-  }
-
-  infer_group.spawn([&] {
-    try {
-      const int batch_cap = std::max(1, config.inference_batch);
-      while (true) {
-        std::optional<ShotRec> first = infer_q.pop();
-        if (!first.has_value()) break;
-        std::vector<ShotRec> batch;
-        batch.push_back(std::move(*first));
-        while (static_cast<int>(batch.size()) < batch_cap) {
-          std::optional<ShotRec> next = infer_q.try_pop();
-          if (!next.has_value()) break;
-          batch.push_back(std::move(*next));
-        }
-        std::vector<Tensor> inputs;
-        std::vector<std::size_t> which;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (batch[i].outcome != ShotOutcome::kOk) continue;
-          inputs.push_back(std::move(batch[i].input));
-          which.push_back(i);
-        }
-        if (!inputs.empty()) {
-          ES_TRACE_SCOPE("service", "inference");
-          const std::vector<ShotPrediction> preds =
-              classify_inputs(model, inputs, 3, nullptr);
-          for (std::size_t i = 0; i < which.size(); ++i) {
-            ShotRec& r = batch[which[i]];
-            r.input = Tensor{};
-            r.predicted = preds[i].predicted();
-            r.conf_q = static_cast<long long>(
-                std::llround(preds[i].confidence() * 1e6));
-            r.correct = topk_correct(
-                preds[i],
-                bank_class[static_cast<std::size_t>(r.stimulus)], 1);
-          }
-        }
-        bool closed = false;
-        for (ShotRec& r : batch)
-          if (!done_q.push(std::move(r))) closed = true;
-        if (closed) break;
-      }
-      done_q.close();
-    } catch (...) {
-      shared.abort_all();
-      throw;
     }
-  });
+    Image developed;
+    {
+      ES_TRACE_SCOPE("service", "isp");
+      developed = run_isp(raw, dev.profile.isp);
+    }
+    Capture capture;
+    {
+      ES_TRACE_SCOPE("service", "codec");
+      capture.format = dev.profile.storage_format;
+      capture.quality = dev.profile.storage_quality;
+      capture.file = make_codec(capture.format, capture.quality)
+                         ->encode(to_u8(developed));
+    }
+    ES_TRACE_SCOPE("service", "decode");
+    const ShotDelivery delivery = deliver_shot_collect(
+        capture, r.device, dev.stream, static_cast<int>(r.slot), 0,
+        dev.profile.os_decoder, r.events);
+    r.delivery_attempts = delivery.attempts;
+    r.delivery_delay_ms = delivery.delay_ms;
+    if (!delivery.usable) {
+      r.outcome = ShotOutcome::kDecodeLost;
+      return;
+    }
+    r.input = capture_to_input(delivery.image);
+  };
+
+  runtime::WorkerGroup scheduler_group, develop_group, infer_group,
+      agg_group;
+
+  agg_group.spawn(guarded(shared, [&] { aggregator.run(agg_clock); }));
+
+  scheduler_group.spawn(guarded(shared, [&] {
+    const bool checkpointing = config.checkpoint_every_slots > 0;
+    const long long boundary =
+        checkpointing
+            ? static_cast<long long>(config.checkpoint_every_slots) * devices
+            : 0;
+    for (long long g = start_g; g < config.shots; ++g) {
+      {
+        std::unique_lock<std::mutex> lock(shared.fold_mu);
+        shared.fold_cv.wait(lock, [&] {
+          return shared.stop.load(std::memory_order_relaxed) ||
+                 g - (start_g + shared.folded) < lead_cap;
+        });
+      }
+      if (shared.stop.load(std::memory_order_relaxed)) break;
+      ShotRec r = scheduler.decide(g);
+      if (checkpointing && (g + 1) % boundary == 0) {
+        r.has_snapshot = true;
+        r.snapshot = scheduler.state(g + 1);
+      }
+      if (!develop_q.push(std::move(r))) break;
+    }
+    {
+      std::lock_guard<std::mutex> lock(final_sched_mu);
+      final_sched = scheduler.state(config.shots);
+    }
+    develop_q.close();
+  }));
+
+  for (int w = 0; w < develop_workers; ++w) {
+    develop_group.spawn(guarded(shared, [&] {
+      WorkerClock clock(develop_clock);
+      while (true) {
+        std::optional<ShotRec> rec = develop_q.pop();
+        clock.mark(kBlockedPop);
+        if (!rec.has_value()) break;
+        if (rec->outcome == ShotOutcome::kOk) develop(*rec);
+        clock.mark(kBusy);
+        const bool pushed = infer_q.push(std::move(*rec));
+        clock.mark(kBlockedPush);
+        if (!pushed) break;
+      }
+    }));
+  }
+
+  infer_group.spawn(guarded(shared, [&] {
+    WorkerClock clock(infer_clock);
+    const int batch_cap = std::max(1, config.inference_batch);
+    while (true) {
+      std::optional<ShotRec> first = infer_q.pop();
+      clock.mark(kBlockedPop);
+      if (!first.has_value()) break;
+      std::vector<ShotRec> batch;
+      batch.push_back(std::move(*first));
+      while (static_cast<int>(batch.size()) < batch_cap) {
+        std::optional<ShotRec> next = infer_q.try_pop();
+        if (!next.has_value()) break;
+        batch.push_back(std::move(*next));
+      }
+      std::vector<Tensor> inputs;
+      std::vector<std::size_t> which;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (batch[i].outcome != ShotOutcome::kOk) continue;
+        inputs.push_back(std::move(batch[i].input));
+        which.push_back(i);
+      }
+      if (!inputs.empty()) {
+        ES_TRACE_SCOPE("service", "inference");
+        const std::vector<ShotPrediction> preds =
+            classify_inputs(model, inputs, 3, nullptr);
+        for (std::size_t i = 0; i < which.size(); ++i) {
+          ShotRec& r = batch[which[i]];
+          r.input = Tensor{};
+          r.predicted = preds[i].predicted();
+          r.conf_q = static_cast<long long>(
+              std::llround(preds[i].confidence() * 1e6));
+          r.correct = topk_correct(
+              preds[i], bank_class[static_cast<std::size_t>(r.stimulus)], 1);
+        }
+      }
+      clock.mark(kBusy);
+      bool closed = false;
+      for (ShotRec& r : batch)
+        if (!done_q.push(std::move(r))) closed = true;
+      clock.mark(kBlockedPush);
+      if (closed) break;
+    }
+    done_q.close();
+  }));
 
   // Teardown chain: each queue closes once every producer upstream of
-  // it has drained and joined (the scheduler closes capture_q, the
+  // it has drained and joined (the scheduler closes develop_q, the
   // inference stage closes done_q). Early stop short-circuits all of it
   // via Shared::abort_all.
   scheduler_group.join();
-  capture_group.join();
-  isp_q.close();
-  isp_group.join();
-  codec_q.close();
-  codec_group.join();
-  decode_q.close();
-  decode_group.join();
+  develop_group.join();
   infer_q.close();
   infer_group.join();
   agg_group.join();
@@ -1221,23 +1218,17 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
       report.wall_seconds > 1e-9
           ? static_cast<double>(folded_here) / report.wall_seconds
           : 0.0;
-  auto stage_stats = [](const char* name, int workers,
-                        const ShotQueue& q) {
-    StageStats s;
-    s.name = name;
-    s.workers = workers;
-    s.capacity = q.capacity();
-    s.high_water = q.high_water();
-    s.processed = q.pushed();
-    return s;
+  auto stage_stats = [](const char* name, int workers, const ShotQueue& q,
+                        const StageClock& ns) {
+    auto ms = [&](ClockBucket b) { return 1e-6 * ns[b].load(); };
+    return StageStats{name,         workers,          q.capacity(),
+                      q.high_water(), q.pushed(),     ms(kBusy),
+                      ms(kBlockedPop), ms(kBlockedPush)};
   };
   report.stages = {
-      stage_stats("capture", capture_workers, capture_q),
-      stage_stats("isp", isp_workers, isp_q),
-      stage_stats("codec", codec_workers, codec_q),
-      stage_stats("decode", decode_workers, decode_q),
-      stage_stats("inference", 1, infer_q),
-      stage_stats("aggregate", 1, done_q),
+      stage_stats("develop", develop_workers, develop_q, develop_clock),
+      stage_stats("inference", 1, infer_q, infer_clock),
+      stage_stats("aggregate", 1, done_q, agg_clock),
   };
   return report;
 }
@@ -1331,6 +1322,9 @@ std::string serialize_soak_report(const SoakReport& report) {
     w.key("capacity").value(static_cast<std::int64_t>(s.capacity));
     w.key("high_water").value(static_cast<std::int64_t>(s.high_water));
     w.key("processed").value(static_cast<std::int64_t>(s.processed));
+    w.key("busy_ms").value(s.busy_ms);
+    w.key("blocked_pop_ms").value(s.blocked_pop_ms);
+    w.key("blocked_push_ms").value(s.blocked_push_ms);
     w.end_object();
   }
   w.end_array();

@@ -1,15 +1,20 @@
 // The streaming fleet service (DESIGN.md §17).
 //
-// A resident, backpressured, staged pipeline over the capture→inference
-// path: a serial admission scheduler decides every shot's fate (breaker,
-// load shedding, deadline budget) as a pure function of the fault
-// schedule; bounded MPMC queues carry shot records through parallel
-// capture / ISP / codec / decode stages and a single inference stage;
-// a serial aggregator folds results in shot order, files every receipt,
-// and cuts crash-consistent checkpoints at slot boundaries. The fold is
-// bit-identical at any worker count, and a SIGKILLed run resumed from
-// its last checkpoint finishes with byte-identical aggregates, ledgers
-// and digests.
+// A resident, backpressured pipeline over the capture→inference path,
+// three stages behind a serial admission scheduler:
+//
+//   scheduler(1) → develop_q → develop(T) → infer_q → inference(1)
+//                → done_q → aggregate(1)
+//
+// The scheduler decides every shot's fate (breaker, load shedding,
+// deadline budget) as a pure function of the fault schedule. Each of
+// the T develop workers runs one admitted shot's whole capture → ISP →
+// codec → decode chain; the single inference worker classifies in
+// batches on the global pool; the serial aggregator folds results in
+// shot order, files every receipt, and cuts crash-consistent
+// checkpoints at slot boundaries. The fold is bit-identical at any
+// worker count, and a SIGKILLed run resumed from its last checkpoint
+// finishes with byte-identical aggregates, ledgers and digests.
 //
 // Shot coordinates: shot g targets device g % devices at slot
 // g / devices, photographing stimulus (slot % stimulus_bank) — every
@@ -61,7 +66,7 @@ struct ServiceConfig {
   /// reorder buffer even when a breaker storm turns every shot into a
   /// cheap tombstone.
   int max_inflight = 4096;
-  /// Stage worker sizing hint; 0 = the global pool's thread count.
+  /// Develop worker count; 0 = the global pool's thread count.
   int threads = 0;
 
   /// Checkpointing. `every_slots` 0 disables; `resume` restores
@@ -79,19 +84,26 @@ struct ServiceConfig {
 };
 
 /// Fingerprint of everything that shapes the deterministic stream:
-/// geometry, seed, plan, breaker/shedding knobs, fleet profiles, plus
-/// whether the global injector is armed. Checkpoints refuse to resume
-/// across a mismatch.
-std::uint64_t service_config_digest(const ServiceConfig& config);
+/// geometry, seed, plan, breaker/shedding knobs, fleet profiles, whether
+/// the global injector is armed, the active kernel tier and the model
+/// weights. Checkpoints refuse to resume across a mismatch.
+std::uint64_t service_config_digest(const ServiceConfig& config,
+                                    Model& model);
 
 /// Observational stage stats (wall-clock side of the report — never
-/// part of any digest).
+/// part of any digest). `capacity`/`high_water`/`processed` describe the
+/// stage's input queue; the three times are summed over its workers:
+/// running the body, blocked popping the input queue, blocked pushing
+/// downstream.
 struct StageStats {
   std::string name;
   int workers = 0;
   std::size_t capacity = 0;
   std::size_t high_water = 0;
   long long processed = 0;
+  double busy_ms = 0.0;
+  double blocked_pop_ms = 0.0;
+  double blocked_push_ms = 0.0;
 };
 
 struct SoakReport {
@@ -128,7 +140,7 @@ struct SoakReport {
 
   double wall_seconds = 0.0;      ///< observational
   double shots_per_second = 0.0;  ///< observational
-  std::vector<StageStats> stages;
+  std::vector<StageStats> stages;  ///< develop, inference, aggregate
 };
 
 /// Run the service. Files receipts with the global FaultLedger under

@@ -1,17 +1,20 @@
 // Bounded MPMC queue — the backpressure primitive of the streaming
 // service.
 //
-// Every stage boundary in the pipeline is one of these: a fixed-capacity
-// mutex+condvar queue whose push() blocks when the downstream stage has
-// fallen behind. That blocking IS the backpressure policy — no stage can
-// run unboundedly ahead of its consumer, so memory stays bounded by the
-// sum of queue capacities no matter how skewed stage costs are.
+// Each of the pipeline's three stage boundaries is one of these —
+// scheduler → develop, develop → inference, inference → aggregator: a
+// fixed-capacity mutex+condvar queue whose push() blocks when the
+// downstream stage has fallen behind. That blocking IS the backpressure
+// policy — no stage can run unboundedly ahead of its consumer, so memory
+// stays bounded by the sum of queue capacities no matter how skewed
+// stage costs are.
 //
-// Determinism note: which worker pops which record is scheduling-
-// dependent, but stage bodies are pure functions of the record (DESIGN.md
-// §17), so order only affects wall clock. The high-water mark is the one
-// deliberately nondeterministic reading — it feeds the progress heartbeat
-// and the observational half of the soak report, never a digest.
+// Determinism note: which develop worker pops which record is
+// scheduling-dependent, but stage bodies are pure functions of the
+// record (DESIGN.md §17), so order only affects wall clock. The
+// high-water mark is the one deliberately nondeterministic reading — it
+// feeds the progress heartbeat and the observational half of the soak
+// report, never a digest.
 #pragma once
 
 #include <condition_variable>

@@ -6,9 +6,10 @@
 #
 #   1. reference soak at --threads 2            -> digests D
 #   2. same soak at --threads 1                 -> digests == D
-#   3. same soak with --kill-after-ckpt 2       -> must exit 7
-#   4. --resume from the surviving checkpoint   -> digests == D
-#   5. edgestab_sentinel soak <report>          -> renders, mentions resume
+#   3. same soak at --threads 4                 -> digests == D
+#   4. same soak with --kill-after-ckpt 2       -> must exit 7
+#   5. --resume from the surviving checkpoint   -> digests == D
+#   6. edgestab_sentinel soak <report>          -> renders, mentions resume
 #
 # Expected -D variables: BENCH_EXE, SENTINEL_EXE, WORK_DIR, CACHE_DIR.
 foreach(var BENCH_EXE SENTINEL_EXE WORK_DIR CACHE_DIR)
@@ -70,6 +71,16 @@ if(NOT t1_digests STREQUAL ref_digests)
     "  threads 2: ${ref_digests}\n  threads 1: ${t1_digests}")
 endif()
 
+# Four develop workers: the width the pool runs at on a 4-core host.
+message(STATUS "==== soak_gate: thread invariance (--threads 4) ====")
+run_soak(out 0 --threads 4 --soak-out "${WORK_DIR}/t4.soak.json")
+soak_digests(t4_digests "${WORK_DIR}/t4.soak.json")
+if(NOT t4_digests STREQUAL ref_digests)
+  message(FATAL_ERROR
+    "soak_gate: digests differ across thread counts:\n"
+    "  threads 2: ${ref_digests}\n  threads 4: ${t4_digests}")
+endif()
+
 message(STATUS "==== soak_gate: hard kill after 2 checkpoints ====")
 run_soak(out 7 --threads 2
   --ckpt "${ckpt_file}" --ckpt-slots 7 --kill-after-ckpt 2)
@@ -104,7 +115,8 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "soak_gate: sentinel soak failed with ${rc}:\n${out}")
 endif()
-if(NOT out MATCHES "resumed from slot" OR NOT out MATCHES "OUTCOME")
+if(NOT out MATCHES "resumed from slot" OR NOT out MATCHES "OUTCOME" OR
+   NOT out MATCHES "BUSY-MS")
   message(FATAL_ERROR "soak_gate: sentinel soak render incomplete:\n${out}")
 endif()
 

@@ -20,6 +20,7 @@
 #include "service/pipeline.h"
 #include "service/queue.h"
 #include "service/state.h"
+#include "tensor/backend.h"
 
 using namespace edgestab;
 using namespace edgestab::service;
@@ -415,9 +416,56 @@ TEST(ServicePipeline, DigestsInvariantAcrossThreadCounts) {
   const RunDigests one = run_gate(model, config);
   config.threads = 3;
   const RunDigests three = run_gate(model, config);
+  config.threads = 4;
+  const RunDigests four = run_gate(model, config);
   EXPECT_TRUE(one == three);
+  EXPECT_TRUE(one == four);
   EXPECT_NE(one.agg, 0u);
   EXPECT_NE(one.ledger, 0u);
+}
+
+TEST(ServicePipeline, DevelopStageRowsAndEarlyStop) {
+  Workspace ws;
+  Model model = ws.fresh_model();
+  ServiceConfig config = gate_config();
+  config.threads = 4;
+  obs::FaultLedger::global().clear();
+  fault::FaultInjector::global().configure(config.plan);
+  const SoakReport report = run_fleet_service(model, config);
+  ASSERT_TRUE(report.completed);
+  ASSERT_EQ(report.stages.size(), 3u);
+  EXPECT_EQ(report.stages[0].name, "develop");
+  EXPECT_EQ(report.stages[1].name, "inference");
+  EXPECT_EQ(report.stages[2].name, "aggregate");
+  EXPECT_EQ(report.stages[0].workers, config.threads);
+  EXPECT_EQ(report.stages[1].workers, 1);
+  EXPECT_EQ(report.stages[2].workers, 1);
+  for (const StageStats& s : report.stages) {
+    // Every record, tombstones included, traverses every queue once.
+    EXPECT_EQ(s.processed, config.shots) << s.name;
+    EXPECT_LE(s.high_water, s.capacity) << s.name;
+    EXPECT_GT(s.busy_ms, 0.0) << s.name;
+    EXPECT_GE(s.blocked_pop_ms, 0.0) << s.name;
+    EXPECT_GE(s.blocked_push_ms, 0.0) << s.name;
+  }
+  // The aggregator is the sink: it never pushes.
+  EXPECT_EQ(report.stages[2].blocked_push_ms, 0.0);
+
+  // A graceful stop tears the graph down by closing its three queues;
+  // every one of the four develop workers must still unblock.
+  const std::string ckpt_path =
+      testing::TempDir() + "/edgestab_service_stop4.ckpt.json";
+  config.checkpoint_path = ckpt_path;
+  config.checkpoint_every_slots = 3;
+  config.stop_after_checkpoints = 1;
+  obs::FaultLedger::global().clear();
+  const SoakReport stopped = run_fleet_service(model, config);
+  fault::FaultInjector::global().reset();
+  EXPECT_TRUE(stopped.stopped_at_checkpoint);
+  EXPECT_FALSE(stopped.completed);
+  EXPECT_EQ(stopped.checkpoints_written, 1);
+  EXPECT_EQ(stopped.agg.slots_folded, 3);
+  std::remove(ckpt_path.c_str());
 }
 
 TEST(ServicePipeline, StopAndResumeMatchesUninterrupted) {
@@ -477,6 +525,43 @@ TEST(ServicePipeline, ResumeRefusesMismatchedConfig) {
   other.seed = config.seed + 1;  // different stream geometry
   obs::FaultLedger::global().clear();
   EXPECT_THROW(run_fleet_service(model, other), CheckError);
+  std::remove(ckpt_path.c_str());
+}
+
+TEST(ServicePipeline, ResumeRefusesBackendOrWeightMismatch) {
+  // The kernel tier and the weights are part of the environment: a
+  // checkpoint cut on one must not be continued on another.
+  Workspace ws;
+  Model model = ws.fresh_model();
+  const std::string ckpt_path =
+      testing::TempDir() + "/edgestab_service_env.ckpt.json";
+  ServiceConfig config = gate_config();
+  config.checkpoint_path = ckpt_path;
+  config.checkpoint_every_slots = 7;
+  config.stop_after_checkpoints = 1;
+  ASSERT_EQ(set_active_backend(BackendKind::kScalar), BackendKind::kScalar);
+  obs::FaultLedger::global().clear();
+  fault::FaultInjector::global().configure(config.plan);
+  (void)run_fleet_service(model, config);
+
+  ServiceConfig resume = config;
+  resume.stop_after_checkpoints = 0;
+  resume.resume = true;
+
+  ASSERT_EQ(set_active_backend(BackendKind::kInt8), BackendKind::kInt8);
+  obs::FaultLedger::global().clear();
+  EXPECT_THROW(run_fleet_service(model, resume), CheckError);
+  set_active_backend(BackendKind::kScalar);
+
+  Model other = ws.fresh_model();
+  other.params().front()->value.data()[0] += 0.25f;
+  obs::FaultLedger::global().clear();
+  EXPECT_THROW(run_fleet_service(other, resume), CheckError);
+
+  // The unchanged environment still resumes.
+  obs::FaultLedger::global().clear();
+  EXPECT_TRUE(run_fleet_service(model, resume).completed);
+  fault::FaultInjector::global().reset();
   std::remove(ckpt_path.c_str());
 }
 

@@ -27,8 +27,8 @@
 //   edgestab_sentinel soak FILE [--devices N]
 //     Re-render a streaming-service soak report offline from a
 //     <bench>.soak.json written by bench_fleet_soak: outcome mix, stage
-//     queue pressure, breaker totals, the modeled latency tail and the
-//     N busiest-failing devices.
+//     queue pressure and busy/blocked time, breaker totals, the modeled
+//     latency tail and the N busiest-failing devices.
 //
 //   edgestab_sentinel timeline FILE [--out FILE]
 //     Summarize a <bench>.timeline.json written by a --timeline run:
@@ -665,14 +665,20 @@ int cmd_soak(int argc, char** argv) {
 
   const obs::JsonValue* stages = doc->find("stages");
   if (stages != nullptr && stages->is_array()) {
-    Table t({"STAGE", "WORKERS", "CAP", "HIGH-WATER", "PROCESSED"});
+    Table t({"STAGE", "WORKERS", "CAP", "HIGH-WATER", "PROCESSED",
+             "BUSY-MS", "POP-WAIT-MS", "PUSH-WAIT-MS"});
+    auto ms = [](const obs::JsonValue& stage, const char* key) {
+      const obs::JsonValue* v = stage.find(key);
+      return Table::num(v == nullptr ? 0.0 : v->number_or(0.0), 1);
+    };
     for (const obs::JsonValue& s : stages->items) {
       const obs::JsonValue* name = s.find("name");
       t.add_row({name ? name->string_or("?") : "?",
                  std::to_string(num(&s, "workers")),
                  std::to_string(num(&s, "capacity")),
                  std::to_string(num(&s, "high_water")),
-                 std::to_string(num(&s, "processed"))});
+                 std::to_string(num(&s, "processed")), ms(s, "busy_ms"),
+                 ms(s, "blocked_pop_ms"), ms(s, "blocked_push_ms")});
     }
     std::printf("%s", t.str().c_str());
   }
