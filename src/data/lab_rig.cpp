@@ -170,6 +170,8 @@ LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
         Image emission = display_on_screen(scene, config.screen);
 
         for (std::size_t p = 0; p < phones; ++p) {
+          // The mount warp is noise-free: frame once, shoot shots_per.
+          const Image framed = frame_emission(fleet[p], emission);
           for (std::size_t shot = 0; shot < shots_per; ++shot) {
             LabShot record;
             record.object_index = static_cast<int>(obj);
@@ -187,12 +189,12 @@ LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
                   config.seed, fleet[p].noise_stream, s, shot);
               if (obs::drift_enabled() && shot == 0) {
                 // First shot of each stimulus: audit every ISP stage
-                // inside take_photo against the first phone's artifacts.
+                // inside the capture against the first phone's artifacts.
                 ES_DRIFT_SCOPE(group.c_str(), static_cast<int>(s),
                                static_cast<int>(p));
-                record.capture = take_photo(fleet[p], emission, rng);
+                record.capture = take_framed_photo(fleet[p], framed, rng);
               } else {
-                record.capture = take_photo(fleet[p], emission, rng);
+                record.capture = take_framed_photo(fleet[p], framed, rng);
               }
             }
             run.shots[(s * phones + p) * shots_per + shot] =

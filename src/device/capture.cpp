@@ -27,26 +27,34 @@ int perf_canary_ms() {
 
 Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
                    Pcg32& rng) {
-  ES_TRACE_SCOPE("device", "take_photo");
+  return take_framed_photo(phone, frame_emission(phone, screen_emission),
+                           rng);
+}
+
+Image frame_emission(const PhoneProfile& phone,
+                     const Image& screen_emission) {
   ES_CHECK(screen_emission.channels() == 3);
+  if (phone.mount_dx == 0.0f && phone.mount_dy == 0.0f &&
+      phone.mount_tilt == 0.0f)
+    return screen_emission;
+  // The warp maps output (sensor-facing) coordinates to screen
+  // coordinates.
+  ES_TRACE_SCOPE("device", "frame_warp");
+  const float cx = static_cast<float>(screen_emission.width()) / 2.0f;
+  const float cy = static_cast<float>(screen_emission.height()) / 2.0f;
+  const Affine warp =
+      Affine::rotate_about(phone.mount_tilt, cx, cy)
+          .compose(Affine::translate(phone.mount_dx, phone.mount_dy));
+  return warp_affine(screen_emission, warp, screen_emission.width(),
+                     screen_emission.height());
+}
+
+Capture take_framed_photo(const PhoneProfile& phone, const Image& framed,
+                          Pcg32& rng) {
+  ES_TRACE_SCOPE("device", "take_photo");
+  ES_CHECK(framed.channels() == 3);
   if (int ms = perf_canary_ms(); ms > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-
-  // Optics + mount: small per-phone geometric offset/tilt of the framed
-  // scene. The warp maps output (sensor-facing) coordinates to screen
-  // coordinates.
-  Image framed = screen_emission;
-  if (phone.mount_dx != 0.0f || phone.mount_dy != 0.0f ||
-      phone.mount_tilt != 0.0f) {
-    ES_TRACE_SCOPE("device", "frame_warp");
-    float cx = static_cast<float>(screen_emission.width()) / 2.0f;
-    float cy = static_cast<float>(screen_emission.height()) / 2.0f;
-    Affine warp = Affine::rotate_about(phone.mount_tilt, cx, cy)
-                      .compose(Affine::translate(phone.mount_dx,
-                                                 phone.mount_dy));
-    framed = warp_affine(screen_emission, warp, screen_emission.width(),
-                         screen_emission.height());
-  }
 
   RawImage raw = expose_sensor(framed, phone.sensor, rng);
   Image developed = run_isp(raw, phone.isp);

@@ -23,9 +23,21 @@ struct Capture {
 /// Photograph `screen_emission` (linear-light radiance of the displayed
 /// image, any resolution) with the given phone. `rng` drives temporal
 /// sensor noise — two calls with the same phone and scene model two
-/// consecutive shots (Figure 1).
+/// consecutive shots (Figure 1). Equal to
+/// take_framed_photo(phone, frame_emission(phone, screen_emission), rng).
 Capture take_photo(const PhoneProfile& phone, const Image& screen_emission,
                    Pcg32& rng);
+
+/// Optics + mount: the emission as the phone's sensor sees it, warped by
+/// the phone's small geometric offset/tilt (a copy when it has none).
+/// Noise-free and a pure function of (phone, emission), so a rig that
+/// shoots one stimulus several times frames it once.
+Image frame_emission(const PhoneProfile& phone, const Image& screen_emission);
+
+/// The per-shot rest of take_photo: expose `framed` (from frame_emission)
+/// on the sensor, run the phone's ISP and store the file.
+Capture take_framed_photo(const PhoneProfile& phone, const Image& framed,
+                          Pcg32& rng);
 
 /// Decode a capture's stored bytes with a given OS decoder behaviour
 /// (inference may happen on a different device than the one that took

@@ -301,15 +301,18 @@ Tensor Dense::forward_int8(const Tensor& input) {
   int8::quantize_cols(weight_.value.raw(), in_dim_, out_dim_, qw.data(),
                       col_scales.data());
 
-  const float act_scale = int8::tensor_scale(input.raw(), input.numel());
+  // One activation scale per sample (row), as conv and depthwise have:
+  // a row's logits never depend on which rows share its batch.
   std::vector<std::int8_t> qin(input.numel());
-  int8::quantize(input.raw(), input.numel(), act_scale, qin.data());
+  std::vector<float> act_scales(static_cast<std::size_t>(n));
+  int8::quantize_rows(input.raw(), n, in_dim_, qin.data(), act_scales.data());
 
   std::vector<std::int32_t> acc(static_cast<std::size_t>(n) * out_dim_);
   int8::gemm_s8(qin.data(), qw.data(), acc.data(), n, in_dim_, out_dim_);
 
   Tensor out({n, out_dim_});
-  int8::requant_cols(acc.data(), n, out_dim_, act_scale, col_scales.data(),
+  int8::requant_cols(acc.data(), n, out_dim_, act_scales.data(),
+                     col_scales.data(),
                      use_bias_ ? bias_.value.raw() : nullptr, out.raw());
   return out;
 }

@@ -24,7 +24,6 @@
 #include "device/capture.h"
 #include "device/fleets.h"
 #include "fault/latency.h"
-#include "image/resize.h"
 #include "isp/pipeline.h"
 #include "isp/sensor.h"
 #include "obs/fault_ledger.h"
@@ -875,25 +874,9 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
         render_scene(spec, config.scene_size), ScreenConfig{});
   }
   std::vector<std::vector<Image>> framed(base.size());
-  for (std::size_t p = 0; p < base.size(); ++p) {
-    const PhoneProfile& phone = base[p];
-    framed[p].resize(emissions.size());
-    for (std::size_t s = 0; s < emissions.size(); ++s) {
-      const Image& emission = emissions[s];
-      if (phone.mount_dx == 0.0f && phone.mount_dy == 0.0f &&
-          phone.mount_tilt == 0.0f) {
-        framed[p][s] = emission;
-        continue;
-      }
-      const float cx = static_cast<float>(emission.width()) / 2.0f;
-      const float cy = static_cast<float>(emission.height()) / 2.0f;
-      const Affine warp =
-          Affine::rotate_about(phone.mount_tilt, cx, cy)
-              .compose(Affine::translate(phone.mount_dx, phone.mount_dy));
-      framed[p][s] = warp_affine(emission, warp, emission.width(),
-                                 emission.height());
-    }
-  }
+  for (std::size_t p = 0; p < base.size(); ++p)
+    for (const Image& emission : emissions)
+      framed[p].push_back(frame_emission(base[p], emission));
 
   // ---- Timeline bootstrap: register the run's name tables before any
   // restore (restore_state then overwrites the fresh series with the

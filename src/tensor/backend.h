@@ -13,10 +13,12 @@
 //     scalar — results differ in last-ULP ways, exactly the class of
 //     divergence the paper studies across SoCs.
 //   * kInt8   — a quantized inference tier (tensor/int8.h): per-channel
-//     weight scales, per-tensor activation scales, saturating int32
+//     weight scales, per-sample activation scales, exact saturating int32
 //     accumulation, deterministic requantization. NN conv/dense/depthwise
 //     inference runs on int8 kernels; all other stages use the scalar
 //     tier. A distinct numeric environment, not an approximation knob.
+//     Its AVX2 quantizer is exact, so it runs wherever the build and the
+//     CPU have AVX2, and int8 results do not depend on the host.
 //
 // Contract (DESIGN.md §15 is normative): within one backend, results are
 // bit-exact across runs and across --threads settings; across backends

@@ -608,6 +608,105 @@ void demosaic_malvar_rows_f32(const float* raw, int width, int /*height*/,
   }
 }
 
+// ---- int8 tier helpers -----------------------------------------------------
+//
+// Both are exact: they return the same bits as the scalar reference loops
+// in tensor/int8.cpp for every input, so the int8 tier's results do not
+// depend on which of the two a host runs.
+
+float max_abs_f32(const float* data, std::size_t n) {
+  const __m256 vabs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  __m256 m = _mm256_setzero_ps();
+  std::size_t i = 0;
+  // maxps(a, m) returns m when a is NaN — the lane keeps its running max,
+  // as std::max(m, NaN) does. Max is order-free, so the lane split and
+  // the final horizontal fold are exact.
+  for (; i + 8 <= n; i += 8)
+    m = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(data + i), vabs), m);
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, m);
+  float max_abs = 0.0f;
+  for (float v : lanes) max_abs = std::max(max_abs, v);
+  for (; i < n; ++i) max_abs = std::max(max_abs, std::fabs(data[i]));
+  return max_abs;
+}
+
+namespace {
+
+inline std::int8_t quantize_one(float y) {
+  return static_cast<std::int8_t>(std::clamp(std::lround(y), -127L, 127L));
+}
+
+/// Codes of p[0..7] * inv as int32 lanes (see quantize_s8). ORs into
+/// `bad` the lanes whose y is NaN or |y| >= 2^63.
+[[gnu::always_inline]] inline __m256i quantize8(const float* p, __m256 vinv,
+                                                __m256& bad) {
+  const __m256 vsign = _mm256_set1_ps(-0.0f);
+  const __m256 y = _mm256_mul_ps(_mm256_loadu_ps(p), vinv);
+  // !(|y| < 2^63): true for NaN, +-inf and the huge finite values.
+  bad = _mm256_or_ps(
+      bad, _mm256_cmp_ps(_mm256_andnot_ps(vsign, y),
+                         _mm256_set1_ps(9223372036854775808.0f),
+                         _CMP_NLT_UQ));
+  const __m256 yc = _mm256_min_ps(_mm256_max_ps(y, _mm256_set1_ps(-127.0f)),
+                                  _mm256_set1_ps(127.0f));
+  const __m256 t = _mm256_round_ps(yc, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256 up =
+      _mm256_cmp_ps(_mm256_andnot_ps(vsign, _mm256_sub_ps(yc, t)),
+                    _mm256_set1_ps(0.5f), _CMP_GE_OQ);
+  const __m256 step = _mm256_or_ps(_mm256_and_ps(yc, vsign),
+                                   _mm256_set1_ps(1.0f));
+  return _mm256_cvttps_epi32(_mm256_add_ps(t, _mm256_and_ps(up, step)));
+}
+
+}  // namespace
+
+void quantize_s8(const float* src, std::size_t n, float inv,
+                 std::int8_t* dst) {
+  // clamp(lround(y), -127, 127) == lround(clamp(y, -127, 127)): lround
+  // is monotone and fixes +-127. Below 2^23, t = trunc(y) and y - t are
+  // exact, so round-half-away-from-zero is t + (|y - t| >= 0.5 ? sign(y)
+  // : 0). Lanes whose y is NaN or |y| >= 2^63 (lround's result is
+  // platform-defined there) take std::lround itself.
+  const __m256 vinv = _mm256_set1_ps(inv);
+  // packs_epi32 / packs_epi16 interleave 128-bit halves; this restores
+  // source order across the four vectors of a 32-element block.
+  const __m256i vorder = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m256 bad = _mm256_setzero_ps();
+    const __m256i q01 = _mm256_packs_epi32(quantize8(src + i, vinv, bad),
+                                           quantize8(src + i + 8, vinv, bad));
+    const __m256i q23 =
+        _mm256_packs_epi32(quantize8(src + i + 16, vinv, bad),
+                           quantize8(src + i + 24, vinv, bad));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        _mm256_permutevar8x32_epi32(_mm256_packs_epi16(q01, q23), vorder));
+    if (_mm256_movemask_ps(bad) != 0)
+      for (std::size_t l = i; l < i + 32; ++l)
+        dst[l] = quantize_one(src[l] * inv);
+  }
+  // 8-element blocks, then the 0..7 tail through a zero-padded block.
+  for (; i < n; i += 8) {
+    const std::size_t len = std::min<std::size_t>(8, n - i);
+    alignas(32) float pad[8] = {};
+    const float* p = src + i;
+    if (len < 8) p = std::copy(p, p + len, pad) - len;
+    __m256 bad = _mm256_setzero_ps();
+    const __m256i q = quantize8(p, vinv, bad);
+    const __m128i q16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                        _mm256_extracti128_si256(q, 1));
+    alignas(16) std::int8_t codes[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(codes),
+                    _mm_packs_epi16(q16, q16));
+    std::copy(codes, codes + len, dst + i);
+    if (_mm256_movemask_ps(bad) != 0)
+      for (std::size_t l = i; l < i + len; ++l)
+        dst[l] = quantize_one(src[l] * inv);
+  }
+}
+
 }  // namespace edgestab::avx2
 
 #else  // EDGESTAB_AVX2 compiled out: link-satisfying stubs. Dispatch is
@@ -648,6 +747,10 @@ void demosaic_bilinear_rows_f32(const float*, int, int, int, int, int, int,
 }
 void demosaic_malvar_rows_f32(const float*, int, int, int, int, int, int,
                               float*, float*, float*) {
+  unavailable();
+}
+float max_abs_f32(const float*, std::size_t) { unavailable(); }
+void quantize_s8(const float*, std::size_t, float, std::int8_t*) {
   unavailable();
 }
 

@@ -8,6 +8,10 @@
 // across SoCs. Within the tier every kernel is deterministic (fixed
 // instruction sequence, no thread-count dependence).
 //
+// The two int8 helpers at the end are the exception: they are exact
+// (bit-identical to their scalar references), so the int8 tier picks
+// them by host capability, not by the active backend.
+//
 // kernels_avx2.cpp is the only TU compiled with -mavx2 -mfma (CMake
 // EDGESTAB_AVX2). Callers must dispatch behind use_avx2() /
 // backend_available(BackendKind::kAvx2); when the tier is compiled out,
@@ -15,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace edgestab::avx2 {
 
@@ -76,5 +81,15 @@ void demosaic_malvar_rows_f32(const float* raw, int width, int height,
                               int red_x, int red_y, int y0, int y1,
                               float* r_plane, float* g_plane,
                               float* b_plane);
+
+/// max |x| over n floats; NaN elements are skipped. Exact: the same bits
+/// as the scalar std::max(m, std::fabs(x)) loop for every input.
+float max_abs_f32(const float* data, std::size_t n);
+
+/// dst[i] = clamp(lround(src[i] * inv), -127, 127) without a libm call
+/// per element. Exact: the same codes as the std::lround reference for
+/// every float input, NaN and infinities included.
+void quantize_s8(const float* src, std::size_t n, float inv,
+                 std::int8_t* dst);
 
 }  // namespace edgestab::avx2

@@ -10,6 +10,9 @@
 #   4. same soak with --kill-after-ckpt 2       -> must exit 7
 #   5. --resume from the surviving checkpoint   -> digests == D
 #   6. edgestab_sentinel soak <report>          -> renders, mentions resume
+#   7. --backend int8 --batch 64 at --threads 1 and 4 -> equal digests
+#      (the inference stage batches opportunistically, so this holds only
+#      while every int8 activation scale is per sample)
 #
 # Expected -D variables: BENCH_EXE, SENTINEL_EXE, WORK_DIR, CACHE_DIR.
 foreach(var BENCH_EXE SENTINEL_EXE WORK_DIR CACHE_DIR)
@@ -118,6 +121,19 @@ endif()
 if(NOT out MATCHES "resumed from slot" OR NOT out MATCHES "OUTCOME" OR
    NOT out MATCHES "BUSY-MS")
   message(FATAL_ERROR "soak_gate: sentinel soak render incomplete:\n${out}")
+endif()
+
+message(STATUS "==== soak_gate: int8 at --batch 64 (--threads 1 vs 4) ====")
+run_soak(out 0 --backend int8 --batch 64 --threads 1
+  --soak-out "${WORK_DIR}/int8_t1.soak.json")
+soak_digests(int8_t1_digests "${WORK_DIR}/int8_t1.soak.json")
+run_soak(out 0 --backend int8 --batch 64 --threads 4
+  --soak-out "${WORK_DIR}/int8_t4.soak.json")
+soak_digests(int8_t4_digests "${WORK_DIR}/int8_t4.soak.json")
+if(NOT int8_t4_digests STREQUAL int8_t1_digests)
+  message(FATAL_ERROR
+    "soak_gate: int8 --batch 64 digests differ across thread counts:\n"
+    "  threads 1: ${int8_t1_digests}\n  threads 4: ${int8_t4_digests}")
 endif()
 
 message(STATUS

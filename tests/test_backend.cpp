@@ -5,8 +5,10 @@
 // available on this host.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "runtime/thread_pool.h"
 #include "tensor/backend.h"
 #include "tensor/int8.h"
+#include "tensor/kernels_avx2.h"
 #include "tensor/ops.h"
 #include "util/hashing.h"
 #include "util/rng.h"
@@ -357,6 +360,209 @@ TEST(BackendInt8, GemmS8SaturatesLongAllMaxDotProduct) {
   EXPECT_EQ(c, std::numeric_limits<std::int32_t>::min());
 }
 
+// ---------------------------------------------------------------------------
+// Exactness of the int8 kernels: the AVX2 quantizer / max-abs reduction,
+// the int32 accumulators and the depthwise interior loop must reproduce
+// the reference loops bit for bit, so the int8 tier's results do not
+// depend on which of them a host runs.
+
+bool vector_int8_helpers() { return kAvx2CompiledIn && cpu_supports_avx2(); }
+
+float float_from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+std::int8_t lround_reference(float y) {
+  return static_cast<std::int8_t>(std::clamp(std::lround(y), -127L, 127L));
+}
+
+/// Quantizes src at scale 1 (so y == x) through int8::quantize and, on a
+/// capable host, the AVX2 kernel directly; both must equal the std::lround
+/// reference. Returns the number of mismatching codes.
+std::size_t quantize_mismatches(const std::vector<float>& src) {
+  std::vector<std::int8_t> got(src.size()), vec(src.size());
+  int8::quantize(src.data(), src.size(), 1.0f, got.data());
+  const bool vector = vector_int8_helpers();
+  if (vector) avx2::quantize_s8(src.data(), src.size(), 1.0f, vec.data());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const std::int8_t want = lround_reference(src[i]);
+    if (got[i] != want || (vector && vec[i] != want)) {
+      if (bad++ < 8)
+        ADD_FAILURE() << "x=" << src[i] << " want " << int{want} << " got "
+                      << int{got[i]} << " / vec " << int{vec[i]};
+    }
+  }
+  return bad;
+}
+
+TEST(BackendInt8, QuantizerMatchesLroundOnEveryFloatInRange) {
+  // Every float with |y| in [2^-3, 2^8), both signs: all rounding ties,
+  // the clamp at +-127 and the codes just below it.
+  constexpr std::uint32_t kLo = 0x3E000000u;  // 2^-3
+  constexpr std::uint32_t kHi = 0x43800000u;  // 2^8
+  constexpr std::uint32_t kChunk = 1u << 16;
+  std::vector<float> src(2 * kChunk);
+  std::size_t bad = 0;
+  for (std::uint32_t base = kLo; base < kHi && bad == 0; base += kChunk) {
+    const std::uint32_t n = std::min(kChunk, kHi - base);
+    src.resize(2 * static_cast<std::size_t>(n));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      src[2 * i] = float_from_bits(base + i);
+      src[2 * i + 1] = float_from_bits((base + i) | 0x80000000u);
+    }
+    bad += quantize_mismatches(src);
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST(BackendInt8, QuantizerMatchesLroundOnSpecialValuesAndTails) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float two63 = 9223372036854775808.0f;
+  std::vector<float> special = {
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::signaling_NaN(),
+      inf, -inf, 0.0f, -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      float_from_bits(0x007FFFFFu), float_from_bits(0x807FFFFFu),
+      std::numeric_limits<float>::min(), -std::numeric_limits<float>::min(),
+      std::nextafter(two63, 0.0f), two63, std::nextafter(two63, inf),
+      -std::nextafter(two63, 0.0f), -two63, -std::nextafter(two63, inf),
+      std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+      0.5f, -0.5f, 126.5f, -126.5f, 127.49999f, -127.5f, 128.0f, 8388608.5f};
+  EXPECT_EQ(quantize_mismatches(special), 0u);
+
+  // Every special value in every lane position of an 8-wide block.
+  std::vector<float> shifted;
+  for (float v : special) {
+    for (int lane = 0; lane < 8; ++lane) {
+      std::vector<float> block(8, 3.5f);
+      block[static_cast<std::size_t>(lane)] = v;
+      shifted.insert(shifted.end(), block.begin(), block.end());
+    }
+  }
+  EXPECT_EQ(quantize_mismatches(shifted), 0u);
+
+  // Lengths leaving a tail of 0..7 elements after the vector blocks, at a
+  // scale that is not a power of two (y = x * (1 / scale) rounds).
+  Pcg32 rng(31, 7);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<float> x(n);
+    for (float& v : x) v = static_cast<float>(rng.normal(0.0, 3.0));
+    const float scale = 0.0371f;
+    std::vector<std::int8_t> got(n + 1, 99);
+    int8::quantize(x.data(), n, scale, got.data());
+    const float inv = 1.0f / scale;
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(got[i], lround_reference(x[i] * inv)) << "n=" << n;
+    EXPECT_EQ(got[n], 99) << "wrote past the end at n=" << n;
+  }
+}
+
+TEST(BackendInt8, TensorScaleMatchesScalarLoopWithNaNLanes) {
+  const auto reference = [](const std::vector<float>& x) {
+    float m = 0.0f;
+    for (float v : x) m = std::max(m, std::fabs(v));
+    return m;
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Pcg32 rng(5, 17);
+  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u, 1000u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<float> x(n);
+      for (float& v : x) v = static_cast<float>(rng.normal(0.0, 4.0));
+      if (n > 0) {
+        // NaN first, last and somewhere in the middle; -0.0 elsewhere.
+        if (trial >= 1) x.front() = nan;
+        if (trial >= 2) x.back() = -nan;
+        if (trial >= 3) {
+          x[n / 2] = nan;
+          x[n / 3] = -0.0f;
+        }
+      }
+      const float want = reference(x);
+      EXPECT_EQ(int8::tensor_scale(x.data(), n), want / 127.0f) << "n=" << n;
+      if (vector_int8_helpers()) {
+        EXPECT_EQ(avx2::max_abs_f32(x.data(), n), want) << "n=" << n;
+      }
+    }
+  }
+  std::vector<float> all_nan(19, nan);
+  EXPECT_EQ(int8::tensor_scale(all_nan.data(), all_nan.size()), 0.0f);
+  std::vector<float> with_inf(19, 1.0f);
+  with_inf[11] = -std::numeric_limits<float>::infinity();
+  EXPECT_EQ(int8::tensor_scale(with_inf.data(), with_inf.size()),
+            std::numeric_limits<float>::infinity());
+}
+
+TEST(BackendInt8, GemmS8ExactAtTheInt32AccumulatorBound) {
+  // k = 131071 is the longest reduction whose partial sums provably fit
+  // int32 (k * 128^2 <= INT32_MAX): every code -128 gives exactly
+  // 131071 * 16384. One more term crosses INT32_MAX and must come back
+  // saturated from the exact int64 path, not wrapped.
+  const int n = 9;  // one vector block plus a tail
+  struct Case {
+    int k;
+    std::int32_t want;
+  };
+  const Case cases[] = {{131071, 2147467264},
+                        {131072, std::numeric_limits<std::int32_t>::max()}};
+  for (const auto& [k, want] : cases) {
+    std::vector<std::int8_t> a(static_cast<std::size_t>(k), -128);
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k) * n, -128);
+    std::vector<std::int32_t> c(n, 0);
+    int8::gemm_s8(a.data(), b.data(), c.data(), 1, k, n);
+    for (int j = 0; j < n; ++j) EXPECT_EQ(c[j], want) << "k=" << k;
+  }
+}
+
+TEST(BackendInt8, DepthwiseMatchesInt64Reference) {
+  struct Geometry {
+    int in_h, in_w, kernel, stride, pad;
+  };
+  const Geometry geometries[] = {
+      {7, 9, 3, 1, 1}, {7, 9, 3, 2, 1}, {8, 8, 3, 2, 0}, {9, 7, 5, 1, 2},
+      {11, 13, 5, 2, 2}, {5, 5, 3, 1, 0}, {2, 3, 3, 1, 1}, {1, 1, 3, 2, 1}};
+  Pcg32 rng(77, 3);
+  for (const Geometry& g : geometries) {
+    const int out_h = (g.in_h + 2 * g.pad - g.kernel) / g.stride + 1;
+    const int out_w = (g.in_w + 2 * g.pad - g.kernel) / g.stride + 1;
+    std::vector<std::int8_t> in(static_cast<std::size_t>(g.in_h) * g.in_w);
+    std::vector<std::int8_t> w(static_cast<std::size_t>(g.kernel) * g.kernel);
+    for (auto& v : in) v = static_cast<std::int8_t>(rng.next_u32() & 0xFF);
+    for (auto& v : w) v = static_cast<std::int8_t>(rng.next_u32() & 0xFF);
+    in.front() = w.front() = -128;
+
+    // Scale 1 and bias 0 make each output the accumulator itself (exact
+    // in float: |acc| <= 25 * 128^2 < 2^24).
+    std::vector<float> out(static_cast<std::size_t>(out_h) * out_w);
+    int8::depthwise_plane_s8(in.data(), g.in_h, g.in_w, w.data(), g.kernel,
+                             g.stride, g.pad, 0.0f, 1.0f, out.data(), out_h,
+                             out_w);
+    for (int oy = 0; oy < out_h; ++oy)
+      for (int ox = 0; ox < out_w; ++ox) {
+        std::int64_t acc = 0;
+        for (int ky = 0; ky < g.kernel; ++ky)
+          for (int kx = 0; kx < g.kernel; ++kx) {
+            const int iy = oy * g.stride - g.pad + ky;
+            const int ix = ox * g.stride - g.pad + kx;
+            if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) continue;
+            acc += static_cast<std::int64_t>(w[ky * g.kernel + kx]) *
+                   in[static_cast<std::size_t>(iy) * g.in_w + ix];
+          }
+        EXPECT_EQ(out[static_cast<std::size_t>(oy) * out_w + ox],
+                  static_cast<float>(acc))
+            << g.in_h << "x" << g.in_w << " k" << g.kernel << " s"
+            << g.stride << " p" << g.pad << " at (" << oy << "," << ox
+            << ")";
+      }
+  }
+}
+
 TEST(BackendInt8, ConvLayerInt8CloseToScalarAndDeterministic) {
   BackendGuard guard;
   Pcg32 rng(21, 2);
@@ -392,6 +598,42 @@ TEST(BackendInt8, TrainingForwardIgnoresInt8Backend) {
   // the float path bit-for-bit so gradients stay consistent.
   Tensor got = layer.forward(input, /*train=*/true);
   EXPECT_EQ(digest(got), digest(ref));
+}
+
+TEST(BackendInt8, ModelLogitsIndependentOfBatchNeighbours) {
+  // Every int8 activation scale is per sample, so a sample's logits are
+  // the same bits whether it is forwarded alone or inside a batch — what
+  // a batch-1 edge device computes, and what makes opportunistic
+  // batching in the fleet service deterministic.
+  BackendGuard guard;
+  MobileNetConfig config;
+  Model model = build_mini_mobilenet_v2(config);
+  Pcg32 init_rng(4321, 2);
+  model.init(init_rng);
+  const int batch = 64;
+  Pcg32 data_rng(64, 9);
+  Tensor images = random_tensor(
+      {batch, 3, config.input_size, config.input_size}, data_rng, 0.5);
+  // Vary the per-sample magnitude so per-batch scales would differ.
+  const std::size_t sample_n = images.numel() / batch;
+  for (int i = 0; i < batch; ++i)
+    for (std::size_t j = 0; j < sample_n; ++j)
+      images[static_cast<std::size_t>(i) * sample_n + j] *=
+          0.25f + 0.05f * static_cast<float>(i);
+
+  set_active_backend(BackendKind::kInt8);
+  const Tensor together = model.forward(images, /*train=*/false);
+  const int classes = together.dim(1);
+  for (int i = 0; i < batch; ++i) {
+    Tensor one({1, 3, config.input_size, config.input_size});
+    std::copy_n(images.raw() + static_cast<std::size_t>(i) * sample_n,
+                sample_n, one.raw());
+    const Tensor alone = model.forward(one, /*train=*/false);
+    for (int c = 0; c < classes; ++c)
+      ASSERT_EQ(alone[static_cast<std::size_t>(c)],
+                together.at2(i, c))
+          << "sample " << i << " class " << c;
+  }
 }
 
 // ---------------------------------------------------------------------------

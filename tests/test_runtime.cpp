@@ -27,6 +27,7 @@
 #include "runtime/parallel.h"
 #include "runtime/seed.h"
 #include "runtime/thread_pool.h"
+#include "tensor/backend.h"
 #include "tensor/tensor.h"
 #include "util/hashing.h"
 #include "util/rng.h"
@@ -388,6 +389,32 @@ TEST(RuntimeDeterminism, EndToEndBitIdenticalAcrossLaneCounts) {
   EndToEndDigests one = run_fixture(1);
   EndToEndDigests two = run_fixture(2);
   EndToEndDigests eight = run_fixture(8);
+
+  EXPECT_EQ(one.observations, two.observations);
+  EXPECT_EQ(one.observations, eight.observations);
+  EXPECT_EQ(one.ledger, two.ledger);
+  EXPECT_EQ(one.ledger, eight.ledger);
+  EXPECT_EQ(one.drift, two.drift);
+  EXPECT_EQ(one.drift, eight.drift);
+}
+
+TEST(RuntimeDeterminism, Int8EndToEndBitIdenticalAcrossLaneCounts) {
+  // The lab path on the quantized tier: the int8 kernels and the rig's
+  // once-per-(phone, stimulus) framing (two of the fixture's three
+  // phones are mounted) must be as lane-count-invariant as scalar.
+  PoolWidthGuard guard;
+  const BackendKind prev = active_backend();
+  set_active_backend(BackendKind::kInt8);
+  std::vector<PhoneProfile> fleet = end_to_end_fleet();
+  int mounted = 0;
+  for (std::size_t p = 0; p < 3 && p < fleet.size(); ++p)
+    mounted += fleet[p].mount_dx != 0.0f || fleet[p].mount_dy != 0.0f ||
+               fleet[p].mount_tilt != 0.0f;
+  EXPECT_GE(mounted, 2) << "fixture no longer exercises the mount warp";
+  EndToEndDigests one = run_fixture(1);
+  EndToEndDigests two = run_fixture(2);
+  EndToEndDigests eight = run_fixture(8);
+  set_active_backend(prev);
 
   EXPECT_EQ(one.observations, two.observations);
   EXPECT_EQ(one.observations, eight.observations);
