@@ -1,8 +1,8 @@
 // Streaming fleet-service soak (DESIGN.md §17, EXPERIMENTS.md runbook).
 //
 // Boots the resident staged pipeline over a synthetic fleet and streams
-// shots through develop (capture → ISP → codec → decode, one pooled task
-// per shot) → inference → aggregate under backpressure, deadlines, load
+// shots through develop (capture → ISP → codec → decode → inference, one
+// pooled task per shot) → aggregate under backpressure, deadlines, load
 // shedding and per-device circuit breakers. Reports throughput,
 // per-stage queue pressure and busy/blocked time, shed/timeout/
 // breaker counts and the modeled latency tail; guards the deterministic
@@ -85,6 +85,8 @@ int main(int argc, char** argv) {
   config.scene_size = static_cast<int>(int_flag(argc, argv, "--scene", 48));
   config.seed = static_cast<std::uint64_t>(
       int_flag(argc, argv, "--seed", 2026));
+  // Accepted but inert: the service classifies one shot per develop
+  // task (ServiceConfig::inference_batch).
   config.inference_batch =
       static_cast<int>(int_flag(argc, argv, "--batch", 8));
   config.progress = run.progress_enabled();

@@ -10,6 +10,23 @@
 
 namespace edgestab {
 
+namespace {
+
+/// a * b + c in one rounding wherever the target has FMA, else in two.
+/// This file builds with -ffp-contract=off, so the compiler fuses
+/// nothing on its own; each fmadd below stands where GCC's default
+/// contraction fused that product into its sum in the reference build,
+/// which keeps every stage bit-identical to it on every host.
+inline float fmadd(float a, float b, float c) {
+#ifdef __FMA__
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+}  // namespace
+
 void black_level_subtract(RawImage& raw) {
   const float black = raw.black_level();
   const float scale = 1.0f / (1.0f - black);
@@ -84,41 +101,100 @@ Image demosaic_bilinear(const RawImage& raw) {
   return out;
 }
 
-/// Scalar-reference Malvar-He-Cutler interpolation of one pixel (the 5x5
-/// kernels from the 2004 paper, coefficients /8).
-void demosaic_malvar_px(const RawImage& raw, Image& out, int x, int y) {
-  auto m = [&](int sx, int sy) { return raw.at_clamped(sx, sy); };
-  int c = raw.color_at(x, y);
-  float v0 = m(x, y);
-  out.at(x, y, c) = v0;
-  float cross = m(x - 1, y) + m(x + 1, y) + m(x, y - 1) + m(x, y + 1);
-  float axial2 = m(x - 2, y) + m(x + 2, y) + m(x, y - 2) + m(x, y + 2);
-  float diag = m(x - 1, y - 1) + m(x + 1, y - 1) + m(x - 1, y + 1) +
-               m(x + 1, y + 1);
+/// The 5x5 neighbourhood of one CFA site, as Malvar-He-Cutler reads it.
+struct MalvarTaps {
+  float v0;
+  float l, r, u, d;      ///< axial, distance 1
+  float ll, rr, uu, dd;  ///< axial, distance 2
+  float ul, ur, dl, dr;  ///< diagonal, distance 1
+};
+
+/// Malvar-He-Cutler estimates at one site (the 5x5 kernels from the 2004
+/// paper, coefficients /8) into `rgb[3]`. `c` is the site's CFA colour;
+/// at a green site `ch`/`cv` are the colours of its horizontal/vertical
+/// neighbours. Shared by the clamped border and the in-bounds interior,
+/// so the two agree bit for bit.
+void malvar_site(const MalvarTaps& t, int c, int ch, int cv, float* rgb) {
+  const float lr = t.l + t.r;
+  const float ud = t.u + t.d;
+  const float llrr = t.ll + t.rr;
+  const float uudd = t.uu + t.dd;
+  const float cross = lr + t.u + t.d;
+  const float axial2 = llrr + t.uu + t.dd;
+  const float diag = t.ul + t.ur + t.dl + t.dr;
+  rgb[c] = t.v0;
   if (c != 1) {
     // Green at an R or B site.
-    float g = (2.0f * cross + 4.0f * v0 - axial2) / 8.0f;
-    out.at(x, y, 1) = std::max(g, 0.0f);
+    const float g = (fmadd(2.0f, cross, 4.0f * t.v0) - axial2) / 8.0f;
+    rgb[1] = std::max(g, 0.0f);
     // Opposite color (R at B / B at R): diagonal kernel.
-    float opp = (6.0f * v0 + 2.0f * diag - 1.5f * axial2) / 8.0f;
-    out.at(x, y, c == 0 ? 2 : 0) = std::max(opp, 0.0f);
+    const float opp =
+        fmadd(-1.5f, axial2, fmadd(6.0f, t.v0, 2.0f * diag)) / 8.0f;
+    rgb[c == 0 ? 2 : 0] = std::max(opp, 0.0f);
   } else {
     // At a green site: one of R/B has horizontal neighbors, the
     // other vertical.
-    // Neighbor colors from CFA parity (pure function — safe at
-    // borders where x+1 == w).
-    int ch = cfa_color(raw.pattern(), x + 1, y);
-    int cv = cfa_color(raw.pattern(), x, y + 1);
-    float hor = (5.0f * v0 + 4.0f * (m(x - 1, y) + m(x + 1, y)) -
-                 (m(x - 2, y) + m(x + 2, y)) +
-                 0.5f * (m(x, y - 2) + m(x, y + 2)) - diag) /
-                8.0f;
-    float ver = (5.0f * v0 + 4.0f * (m(x, y - 1) + m(x, y + 1)) -
-                 (m(x, y - 2) + m(x, y + 2)) +
-                 0.5f * (m(x - 2, y) + m(x + 2, y)) - diag) /
-                8.0f;
-    out.at(x, y, ch) = std::max(hor, 0.0f);
-    out.at(x, y, cv) = std::max(ver, 0.0f);
+    const float v5 = 5.0f * t.v0;
+    const float hor =
+        (fmadd(0.5f, uudd, fmadd(4.0f, lr, v5) - llrr) - diag) / 8.0f;
+    const float ver =
+        (fmadd(0.5f, llrr, fmadd(4.0f, ud, v5) - uudd) - diag) / 8.0f;
+    rgb[ch] = std::max(hor, 0.0f);
+    rgb[cv] = std::max(ver, 0.0f);
+  }
+}
+
+/// Scalar-reference Malvar-He-Cutler interpolation of one pixel, with
+/// clamped taps (the 2-pixel border).
+void demosaic_malvar_px(const RawImage& raw, Image& out, int x, int y) {
+  auto m = [&](int sx, int sy) { return raw.at_clamped(sx, sy); };
+  const MalvarTaps t{m(x, y),         m(x - 1, y),     m(x + 1, y),
+                     m(x, y - 1),     m(x, y + 1),     m(x - 2, y),
+                     m(x + 2, y),     m(x, y - 2),     m(x, y + 2),
+                     m(x - 1, y - 1), m(x + 1, y - 1), m(x - 1, y + 1),
+                     m(x + 1, y + 1)};
+  // Neighbor colors from CFA parity (pure function — safe at borders
+  // where x+1 == w).
+  float rgb[3];
+  malvar_site(t, raw.color_at(x, y), cfa_color(raw.pattern(), x + 1, y),
+              cfa_color(raw.pattern(), x, y + 1), rgb);
+  for (int c = 0; c < 3; ++c) out.at(x, y, c) = rgb[c];
+}
+
+/// Malvar-He-Cutler over the interior rows and columns 2..n-3, where
+/// every tap is in bounds: plain pointer loads instead of clamped ones.
+void demosaic_malvar_interior(const RawImage& raw, Image& out) {
+  const int w = raw.width();
+  const int h = raw.height();
+  ES_CHECK(w > 4 && h > 4 && out.width() == w && out.height() == h &&
+           out.channels() == 3 &&
+           raw.data().size() == static_cast<std::size_t>(w) * h);
+  int cfa[2][2];
+  for (int py = 0; py < 2; ++py)
+    for (int px = 0; px < 2; ++px)
+      cfa[py][px] = cfa_color(raw.pattern(), px, py);
+  const float* src = raw.data().data();
+  float* planes[3] = {out.plane(0).data(), out.plane(1).data(),
+                      out.plane(2).data()};
+  for (int y = 2; y < h - 2; ++y) {
+    const float* row = src + static_cast<std::size_t>(y) * w;
+    const float* up = row - w;
+    const float* dn = row + w;
+    const float* up2 = up - w;
+    const float* dn2 = dn + w;
+    const int* cfa_row = cfa[y & 1];
+    const int* cfa_next = cfa[(y + 1) & 1];
+    const std::size_t base = static_cast<std::size_t>(y) * w;
+    for (int x = 2; x < w - 2; ++x) {
+      const MalvarTaps t{row[x],     row[x - 1], row[x + 1], up[x],
+                         dn[x],      row[x - 2], row[x + 2], up2[x],
+                         dn2[x],     up[x - 1],  up[x + 1],  dn[x - 1],
+                         dn[x + 1]};
+      float rgb[3];
+      malvar_site(t, cfa_row[x & 1], cfa_row[(x + 1) & 1], cfa_next[x & 1],
+                  rgb);
+      for (int c = 0; c < 3; ++c) planes[c][base + x] = rgb[c];
+    }
   }
 }
 
@@ -126,22 +202,27 @@ Image demosaic_malvar(const RawImage& raw) {
   const int w = raw.width();
   const int h = raw.height();
   Image out(w, h, 3);
-  if (use_avx2() && w >= 14 && h > 4) {
-    // Interior rows run the vector kernel; the 2-pixel border (where
-    // at_clamped taps clamp) keeps the scalar reference.
-    for (int x = 0; x < w; ++x)
-      for (int y : {0, 1, h - 2, h - 1}) demosaic_malvar_px(raw, out, x, y);
-    for (int y = 2; y < h - 2; ++y)
-      for (int x : {0, 1, w - 2, w - 1}) demosaic_malvar_px(raw, out, x, y);
+  if (w <= 4 || h <= 4) {
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) demosaic_malvar_px(raw, out, x, y);
+    return out;
+  }
+  // The 2-pixel border (where at_clamped taps clamp) keeps the scalar
+  // reference; interior rows run the vector kernel or the in-bounds
+  // scalar loop.
+  for (int x = 0; x < w; ++x)
+    for (int y : {0, 1, h - 2, h - 1}) demosaic_malvar_px(raw, out, x, y);
+  for (int y = 2; y < h - 2; ++y)
+    for (int x : {0, 1, w - 2, w - 1}) demosaic_malvar_px(raw, out, x, y);
+  if (use_avx2() && w >= 14) {
     int red_x, red_y;
     red_site_parity(raw.pattern(), red_x, red_y);
     avx2::demosaic_malvar_rows_f32(
         raw.data().data(), w, h, red_x, red_y, 2, h - 2,
         out.plane(0).data(), out.plane(1).data(), out.plane(2).data());
-    return out;
+  } else {
+    demosaic_malvar_interior(raw, out);
   }
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x) demosaic_malvar_px(raw, out, x, y);
   return out;
 }
 
@@ -195,31 +276,72 @@ void color_correct(Image& rgb, const std::array<float, 9>& matrix) {
   rgb.clamp(0.0f, 4.0f);  // allow modest overshoot; tone map clamps later
 }
 
-void denoise_box(Image& rgb, int radius, float strength) {
-  if (radius <= 0 || strength <= 0.0f) return;
-  ES_CHECK(strength <= 1.0f);
-  Image blurred(rgb.width(), rgb.height(), rgb.channels());
+Image box_blur(const Image& src, int radius) {
+  const int w = src.width();
+  const int h = src.height();
+  ES_CHECK(radius > 0 && w > 0 && h > 0);
+  Image dst(w, h, src.channels());
   const float inv =
       1.0f / static_cast<float>((2 * radius + 1) * (2 * radius + 1));
   if (use_avx2()) {
-    for (int c = 0; c < rgb.channels(); ++c)
-      avx2::box_blur_plane_f32(rgb.plane(c).data(), rgb.width(),
-                               rgb.height(), radius, inv,
-                               blurred.plane(c).data());
-  } else {
-    for (int c = 0; c < rgb.channels(); ++c)
-      for (int y = 0; y < rgb.height(); ++y)
-        for (int x = 0; x < rgb.width(); ++x) {
-          float sum = 0.0f;
-          for (int dy = -radius; dy <= radius; ++dy)
-            for (int dx = -radius; dx <= radius; ++dx)
-              sum += rgb.at_clamped(x + dx, y + dy, c);
-          blurred.at(x, y, c) = sum * inv;
-        }
+    for (int c = 0; c < src.channels(); ++c)
+      avx2::box_blur_plane_f32(src.plane(c).data(), w, h, radius, inv,
+                               dst.plane(c).data());
+    return dst;
   }
-  for (std::size_t i = 0; i < rgb.data().size(); ++i)
-    rgb.data()[i] += (blurred.data()[i] - rgb.data()[i]) * strength;
+  // A clamp-replicated padded copy, the layout the AVX2 kernel reads:
+  // every tap is then a plain in-bounds load.
+  const int taps = 2 * radius + 1;
+  const int pw = w + 2 * radius;
+  const int ph = h + 2 * radius;
+  thread_local std::vector<float> padded;
+  padded.resize(static_cast<std::size_t>(pw) * ph);
+  for (int c = 0; c < src.channels(); ++c) {
+    const float* plane = src.plane(c).data();
+    for (int py = 0; py < ph; ++py) {
+      const int y = std::clamp(py - radius, 0, h - 1);
+      const float* srow = plane + static_cast<std::size_t>(y) * w;
+      float* prow = padded.data() + static_cast<std::size_t>(py) * pw;
+      std::fill_n(prow, radius, srow[0]);
+      std::copy_n(srow, w, prow + radius);
+      std::fill_n(prow + radius + w, radius, srow[w - 1]);
+    }
+    float* out = dst.plane(c).data();
+    for (int y = 0; y < h; ++y) {
+      const float* pbase = padded.data() + static_cast<std::size_t>(y) * pw;
+      float* orow = out + static_cast<std::size_t>(y) * w;
+      for (int x = 0; x < w; ++x) {
+        float sum = 0.0f;
+        for (int dy = 0; dy < taps; ++dy) {
+          const float* prow = pbase + static_cast<std::size_t>(dy) * pw + x;
+          for (int dx = 0; dx < taps; ++dx) sum += prow[dx];
+        }
+        orow[x] = sum * inv;
+      }
+    }
+  }
+  return dst;
 }
+
+void denoise_box(Image& rgb, int radius, float strength) {
+  if (radius <= 0 || strength <= 0.0f) return;
+  ES_CHECK(strength <= 1.0f);
+  const Image blurred = box_blur(rgb, radius);
+  for (std::size_t i = 0; i < rgb.data().size(); ++i)
+    rgb.data()[i] = fmadd(blurred.data()[i] - rgb.data()[i], strength,
+                          rgb.data()[i]);
+}
+
+namespace {
+
+/// Smoothstep-based contrast curve blended with identity:
+/// g + (s - g) * strength with s = g^2 (3 - 2g).
+float s_curve(float g, float strength) {
+  const float s_minus_g = fmadd(g * g, fmadd(-2.0f, g, 3.0f), -g);
+  return fmadd(s_minus_g, strength, g);
+}
+
+}  // namespace
 
 void tone_map(Image& rgb, float gamma, float s_curve_strength) {
   ES_CHECK(gamma > 0.0f);
@@ -235,10 +357,7 @@ void tone_map(Image& rgb, float gamma, float s_curve_strength) {
     for (int i = 0; i < kKnots; ++i) {
       const float t = static_cast<float>(i) / (kKnots - 1);
       float g = std::pow(t * t, inv_gamma);
-      if (s_curve_strength != 0.0f) {
-        float s = g * g * (3.0f - 2.0f * g);
-        g = g + (s - g) * s_curve_strength;
-      }
+      if (s_curve_strength != 0.0f) g = s_curve(g, s_curve_strength);
       lut[static_cast<std::size_t>(i)] = std::clamp(g, 0.0f, 1.0f);
     }
     lut[kKnots] = lut[kKnots - 1];
@@ -248,39 +367,18 @@ void tone_map(Image& rgb, float gamma, float s_curve_strength) {
   }
   for (float& v : rgb.data()) {
     float g = std::pow(std::clamp(v, 0.0f, 1.0f), 1.0f / gamma);
-    if (s_curve_strength != 0.0f) {
-      // Smoothstep-based contrast curve blended with identity.
-      float s = g * g * (3.0f - 2.0f * g);
-      g = g + (s - g) * s_curve_strength;
-    }
+    if (s_curve_strength != 0.0f) g = s_curve(g, s_curve_strength);
     v = std::clamp(g, 0.0f, 1.0f);
   }
 }
 
 void sharpen_unsharp(Image& rgb, int radius, float amount) {
   if (radius <= 0 || amount <= 0.0f) return;
-  Image blurred(rgb.width(), rgb.height(), rgb.channels());
-  const float inv =
-      1.0f / static_cast<float>((2 * radius + 1) * (2 * radius + 1));
-  if (use_avx2()) {
-    for (int c = 0; c < rgb.channels(); ++c)
-      avx2::box_blur_plane_f32(rgb.plane(c).data(), rgb.width(),
-                               rgb.height(), radius, inv,
-                               blurred.plane(c).data());
-  } else {
-    for (int c = 0; c < rgb.channels(); ++c)
-      for (int y = 0; y < rgb.height(); ++y)
-        for (int x = 0; x < rgb.width(); ++x) {
-          float sum = 0.0f;
-          for (int dy = -radius; dy <= radius; ++dy)
-            for (int dx = -radius; dx <= radius; ++dx)
-              sum += rgb.at_clamped(x + dx, y + dy, c);
-          blurred.at(x, y, c) = sum * inv;
-        }
-  }
+  const Image blurred = box_blur(rgb, radius);
   for (std::size_t i = 0; i < rgb.data().size(); ++i) {
     float detail = rgb.data()[i] - blurred.data()[i];
-    rgb.data()[i] = std::clamp(rgb.data()[i] + amount * detail, 0.0f, 1.0f);
+    rgb.data()[i] =
+        std::clamp(fmadd(amount, detail, rgb.data()[i]), 0.0f, 1.0f);
   }
 }
 
@@ -292,10 +390,10 @@ void saturate(Image& rgb, float factor) {
       float r = rgb.at(x, y, 0);
       float g = rgb.at(x, y, 1);
       float b = rgb.at(x, y, 2);
-      float luma = 0.299f * r + 0.587f * g + 0.114f * b;
-      rgb.at(x, y, 0) = std::clamp(luma + (r - luma) * factor, 0.0f, 1.0f);
-      rgb.at(x, y, 1) = std::clamp(luma + (g - luma) * factor, 0.0f, 1.0f);
-      rgb.at(x, y, 2) = std::clamp(luma + (b - luma) * factor, 0.0f, 1.0f);
+      float luma = fmadd(0.114f, b, fmadd(0.299f, r, 0.587f * g));
+      rgb.at(x, y, 0) = std::clamp(fmadd(r - luma, factor, luma), 0.0f, 1.0f);
+      rgb.at(x, y, 1) = std::clamp(fmadd(g - luma, factor, luma), 0.0f, 1.0f);
+      rgb.at(x, y, 2) = std::clamp(fmadd(b - luma, factor, luma), 0.0f, 1.0f);
     }
 }
 

@@ -30,6 +30,12 @@ void white_balance_gray_world(Image& rgb);
 /// 3x3 color correction matrix in linear light (row-major).
 void color_correct(Image& rgb, const std::array<float, 9>& matrix);
 
+/// Box blur of every plane over (2*radius+1)^2 taps with clamped
+/// borders (radius > 0): each output sums its taps row by row, left to
+/// right, then scales by 1/taps — the same order on every tier. The
+/// shared kernel of denoise_box and sharpen_unsharp.
+Image box_blur(const Image& src, int radius);
+
 /// Chroma-preserving denoise: box-filter each channel, blend by strength
 /// in [0,1].
 void denoise_box(Image& rgb, int radius, float strength);

@@ -65,8 +65,8 @@ fault::DeviceClass device_class_of(int device) {
 
 /// One shot's record, carried through every stage. Stages mutate only
 /// their own fields; terminal (non-kOk) records pass through untouched.
-/// The develop stage keeps its intermediate images local, so a record
-/// in flight carries at most the decoded input tensor.
+/// The develop stage keeps its intermediate images and the input tensor
+/// local, so a record in flight carries only the shot's outcome.
 struct ShotRec {
   long long g = 0;
   int device = 0;
@@ -96,8 +96,6 @@ struct ShotRec {
   bool trace_sampled = false;
   std::vector<obs::TraceAttempt> trace_attempts;
 
-  Tensor input;  ///< develop → inference payload (released once classified)
-
   int predicted = -1;
   long long conf_q = 0;  ///< confidence * 1e6, rounded
   bool correct = false;
@@ -119,7 +117,7 @@ using ShotQueue = BoundedQueue<ShotRec>;
 /// source is a plain function pointer, so the installed instance lives
 /// behind a file-scope pointer for the duration of the run.
 struct LiveStatus {
-  std::vector<ShotQueue*> queues;  ///< develop, inference, done
+  std::vector<ShotQueue*> queues;  ///< develop, done
   std::atomic<long long> shed{0};
   std::atomic<long long> rejected{0};
   std::atomic<long long> slots_folded{0};
@@ -131,14 +129,13 @@ LiveStatus* g_live = nullptr;
 std::string live_status_text() {
   LiveStatus* live = g_live;
   if (live == nullptr) return "";
-  static const char* const kTags[] = {"dev", "inf", "out"};
+  static const char* const kTags[] = {"dev", "out"};
   const std::size_t depth[] = {live->queues[0]->size(),
-                               live->queues[1]->size(),
-                               live->queues[2]->size()};
+                               live->queues[1]->size()};
   char buf[160];
   int n = std::snprintf(buf, sizeof(buf),
-                        " | q dev %zu inf %zu out %zu shed %lld rej %lld",
-                        depth[0], depth[1], depth[2],
+                        " | q dev %zu out %zu shed %lld rej %lld",
+                        depth[0], depth[1],
                         live->shed.load(std::memory_order_relaxed),
                         live->rejected.load(std::memory_order_relaxed));
   if (live->epoch_slots > 0 && n > 0 &&
@@ -883,8 +880,7 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   // checkpointed one).
   if (obs::timeline_enabled()) {
     // One queue-depth lane per live queue, in Shared::queues order.
-    std::vector<std::string> stage_names = {"develop", "inference",
-                                            "aggregate"};
+    std::vector<std::string> stage_names = {"develop", "aggregate"};
     std::vector<std::string> class_names;
     for (int c = 0; c < 3; ++c)
       class_names.push_back(
@@ -944,18 +940,21 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   const long long start_g = start_slot * devices;
 
   // ---- Worker sizing + queues. Every develop worker runs whole shots,
-  // so no per-step split has to be guessed; the single inference worker
-  // is the only stage allowed to touch the global pool (classify_inputs
-  // runs a parallel region; concurrent regions are forbidden — DESIGN.md
-  // §6).
+  // classification included, on its own model clone, so no per-step
+  // split has to be guessed and no worker shares a forward cache.
+  // predict_logits forwards a single input in place, so the service
+  // opens no parallel region on the global pool.
   const int develop_workers = config.threads > 0
                                   ? config.threads
                                   : runtime::ThreadPool::global().threads();
+  std::vector<Model> lanes;
+  lanes.reserve(static_cast<std::size_t>(develop_workers));
+  for (int w = 0; w < develop_workers; ++w) lanes.push_back(model.clone());
 
-  ShotQueue develop_q(64), infer_q(64), done_q(256);
-  StageClock develop_clock{}, infer_clock{}, agg_clock{};
+  ShotQueue develop_q(64), done_q(256);
+  StageClock develop_clock{}, agg_clock{};
   Shared shared;
-  shared.queues = {&develop_q, &infer_q, &done_q};
+  shared.queues = {&develop_q, &done_q};
   const long long lead_cap = std::max<long long>(
       config.max_inflight, 2LL * devices);
 
@@ -979,10 +978,11 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   std::mutex final_sched_mu;
 
   // One admitted shot, start to finish: capture faults + sensor
-  // exposure, ISP, encode, delivery + decode. Each step keeps its own
-  // span so traces and profiles still attribute time per layer; the
-  // intermediate images never leave this worker.
-  auto develop = [&](ShotRec& r) {
+  // exposure, ISP, encode, delivery + decode, then inference on the
+  // worker's model clone. Each step keeps its own span so traces and
+  // profiles still attribute time per layer; the intermediate images and
+  // the input tensor never leave this worker.
+  auto develop = [&](Model& lane, ShotRec& r) {
     const Device& dev = fleet[static_cast<std::size_t>(r.device)];
     RawImage raw;
     {
@@ -1009,21 +1009,29 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
       capture.file = make_codec(capture.format, capture.quality)
                          ->encode(to_u8(developed));
     }
-    ES_TRACE_SCOPE("service", "decode");
-    const ShotDelivery delivery = deliver_shot_collect(
-        capture, r.device, dev.stream, static_cast<int>(r.slot), 0,
-        dev.profile.os_decoder, r.events);
-    r.delivery_attempts = delivery.attempts;
-    r.delivery_delay_ms = delivery.delay_ms;
-    if (!delivery.usable) {
-      r.outcome = ShotOutcome::kDecodeLost;
-      return;
+    std::vector<Tensor> inputs;
+    {
+      ES_TRACE_SCOPE("service", "decode");
+      const ShotDelivery delivery = deliver_shot_collect(
+          capture, r.device, dev.stream, static_cast<int>(r.slot), 0,
+          dev.profile.os_decoder, r.events);
+      r.delivery_attempts = delivery.attempts;
+      r.delivery_delay_ms = delivery.delay_ms;
+      if (!delivery.usable) {
+        r.outcome = ShotOutcome::kDecodeLost;
+        return;
+      }
+      inputs.push_back(capture_to_input(delivery.image));
     }
-    r.input = capture_to_input(delivery.image);
+    ES_TRACE_SCOPE("service", "inference");
+    const ShotPrediction pred = classify_inputs(lane, inputs, 3, nullptr)[0];
+    r.predicted = pred.predicted();
+    r.conf_q = static_cast<long long>(std::llround(pred.confidence() * 1e6));
+    r.correct = topk_correct(
+        pred, bank_class[static_cast<std::size_t>(r.stimulus)], 1);
   };
 
-  runtime::WorkerGroup scheduler_group, develop_group, infer_group,
-      agg_group;
+  runtime::WorkerGroup scheduler_group, develop_group, agg_group;
 
   agg_group.spawn(guarded(shared, [&] { aggregator.run(agg_clock); }));
 
@@ -1057,74 +1065,29 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   }));
 
   for (int w = 0; w < develop_workers; ++w) {
-    develop_group.spawn(guarded(shared, [&] {
+    Model* lane = &lanes[static_cast<std::size_t>(w)];
+    develop_group.spawn(guarded(shared, [&, lane] {
       WorkerClock clock(develop_clock);
       while (true) {
         std::optional<ShotRec> rec = develop_q.pop();
         clock.mark(kBlockedPop);
         if (!rec.has_value()) break;
-        if (rec->outcome == ShotOutcome::kOk) develop(*rec);
+        if (rec->outcome == ShotOutcome::kOk) develop(*lane, *rec);
         clock.mark(kBusy);
-        const bool pushed = infer_q.push(std::move(*rec));
+        const bool pushed = done_q.push(std::move(*rec));
         clock.mark(kBlockedPush);
         if (!pushed) break;
       }
     }));
   }
 
-  infer_group.spawn(guarded(shared, [&] {
-    WorkerClock clock(infer_clock);
-    const int batch_cap = std::max(1, config.inference_batch);
-    while (true) {
-      std::optional<ShotRec> first = infer_q.pop();
-      clock.mark(kBlockedPop);
-      if (!first.has_value()) break;
-      std::vector<ShotRec> batch;
-      batch.push_back(std::move(*first));
-      while (static_cast<int>(batch.size()) < batch_cap) {
-        std::optional<ShotRec> next = infer_q.try_pop();
-        if (!next.has_value()) break;
-        batch.push_back(std::move(*next));
-      }
-      std::vector<Tensor> inputs;
-      std::vector<std::size_t> which;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].outcome != ShotOutcome::kOk) continue;
-        inputs.push_back(std::move(batch[i].input));
-        which.push_back(i);
-      }
-      if (!inputs.empty()) {
-        ES_TRACE_SCOPE("service", "inference");
-        const std::vector<ShotPrediction> preds =
-            classify_inputs(model, inputs, 3, nullptr);
-        for (std::size_t i = 0; i < which.size(); ++i) {
-          ShotRec& r = batch[which[i]];
-          r.input = Tensor{};
-          r.predicted = preds[i].predicted();
-          r.conf_q = static_cast<long long>(
-              std::llround(preds[i].confidence() * 1e6));
-          r.correct = topk_correct(
-              preds[i], bank_class[static_cast<std::size_t>(r.stimulus)], 1);
-        }
-      }
-      clock.mark(kBusy);
-      bool closed = false;
-      for (ShotRec& r : batch)
-        if (!done_q.push(std::move(r))) closed = true;
-      clock.mark(kBlockedPush);
-      if (closed) break;
-    }
-    done_q.close();
-  }));
-
   // Teardown chain: each queue closes once every producer upstream of
-  // it has drained and joined (the scheduler closes develop_q, the
-  // inference stage closes done_q). Early stop short-circuits all of it
-  // via Shared::abort_all.
+  // it has drained and joined (the scheduler closes develop_q itself;
+  // done_q closes after the last develop worker). Early stop
+  // short-circuits all of it via Shared::abort_all.
   scheduler_group.join();
   develop_group.join();
-  infer_q.close();
-  infer_group.join();
+  done_q.close();
   agg_group.join();
   meter.finish();
 
@@ -1210,7 +1173,6 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   };
   report.stages = {
       stage_stats("develop", develop_workers, develop_q, develop_clock),
-      stage_stats("inference", 1, infer_q, infer_clock),
       stage_stats("aggregate", 1, done_q, agg_clock),
   };
   return report;

@@ -1,20 +1,20 @@
 // The streaming fleet service (DESIGN.md §17).
 //
 // A resident, backpressured pipeline over the capture→inference path,
-// three stages behind a serial admission scheduler:
+// two stages behind a serial admission scheduler:
 //
-//   scheduler(1) → develop_q → develop(T) → infer_q → inference(1)
-//                → done_q → aggregate(1)
+//   scheduler(1) → develop_q → develop(T) → done_q → aggregate(1)
 //
 // The scheduler decides every shot's fate (breaker, load shedding,
 // deadline budget) as a pure function of the fault schedule. Each of
 // the T develop workers runs one admitted shot's whole capture → ISP →
-// codec → decode chain; the single inference worker classifies in
-// batches on the global pool; the serial aggregator folds results in
-// shot order, files every receipt, and cuts crash-consistent
-// checkpoints at slot boundaries. The fold is bit-identical at any
-// worker count, and a SIGKILLed run resumed from its last checkpoint
-// finishes with byte-identical aggregates, ledgers and digests.
+// codec → decode → inference chain, classifying on its own model clone
+// (one batch-1 forward, the same bits at any T); the serial aggregator
+// folds results in shot order, files every receipt, and cuts
+// crash-consistent checkpoints at slot boundaries. The fold is
+// bit-identical at any worker count, and a SIGKILLed run resumed from
+// its last checkpoint finishes with byte-identical aggregates, ledgers
+// and digests.
 //
 // Shot coordinates: shot g targets device g % devices at slot
 // g / devices, photographing stimulus (slot % stimulus_bank) — every
@@ -61,6 +61,9 @@ struct ServiceConfig {
   double shed_backlog_ms = 400.0;
   double drain_ms_per_shot = 50.0;
 
+  /// Inert: each develop worker classifies its own shot, so no batch
+  /// is ever formed. perfbench/driver.cpp still reads this field as its
+  /// replay's classify batch, so it stays until the benchmark changes.
   int inference_batch = 8;
   /// Scheduler lead cap over the fold cursor — bounds the aggregator's
   /// reorder buffer even when a breaker storm turns every shot into a
@@ -140,7 +143,7 @@ struct SoakReport {
 
   double wall_seconds = 0.0;      ///< observational
   double shots_per_second = 0.0;  ///< observational
-  std::vector<StageStats> stages;  ///< develop, inference, aggregate
+  std::vector<StageStats> stages;  ///< develop, aggregate
 };
 
 /// Run the service. Files receipts with the global FaultLedger under

@@ -1,10 +1,10 @@
 // Bounded MPMC queue — the backpressure primitive of the streaming
 // service.
 //
-// Each of the pipeline's three stage boundaries is one of these —
-// scheduler → develop, develop → inference, inference → aggregator: a
-// fixed-capacity mutex+condvar queue whose push() blocks when the
-// downstream stage has fallen behind. That blocking IS the backpressure
+// Each of the pipeline's two stage boundaries is one of these —
+// scheduler → develop, develop → aggregator: a fixed-capacity
+// mutex+condvar queue whose push() blocks when the downstream stage has
+// fallen behind. That blocking IS the backpressure
 // policy — no stage can run unboundedly ahead of its consumer, so memory
 // stays bounded by the sum of queue capacities no matter how skewed
 // stage costs are.
@@ -59,19 +59,6 @@ class BoundedQueue {
   std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop: nullopt when currently empty (the inference
-  /// stage uses this to fill out a batch without stalling on a slow
-  /// upstream).
-  std::optional<T> try_pop() {
-    std::unique_lock<std::mutex> lock(mu_);
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();

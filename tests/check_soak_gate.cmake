@@ -11,8 +11,9 @@
 #   5. --resume from the surviving checkpoint   -> digests == D
 #   6. edgestab_sentinel soak <report>          -> renders, mentions resume
 #   7. --backend int8 --batch 64 at --threads 1 and 4 -> equal digests
-#      (the inference stage batches opportunistically, so this holds only
-#      while every int8 activation scale is per sample)
+#      (--batch no longer shapes the service, where each develop worker
+#      classifies its own shot; the leg still pins that the flag cannot
+#      move an int8 result at any thread count)
 #
 # Expected -D variables: BENCH_EXE, SENTINEL_EXE, WORK_DIR, CACHE_DIR.
 foreach(var BENCH_EXE SENTINEL_EXE WORK_DIR CACHE_DIR)

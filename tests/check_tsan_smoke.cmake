@@ -1,5 +1,6 @@
 # Builds the tree with -DEDGESTAB_TSAN=ON in a child build tree and runs
-# bench_table4_isp --threads 4 (smoke-size rig, shared model cache) under
+# bench_table4_isp --threads 4 (smoke-size rig, shared model cache), then
+# a faulted and a clean bench_fleet_soak --threads 4, under
 # ThreadSanitizer. The parallel runtime's determinism contract is checked
 # by test_runtime's digest tests; this test checks the other half — that
 # the pool, the drift auditor's off-lock comparisons and the codec/ISP
@@ -63,8 +64,8 @@ if(NOT EXISTS "${run_dir}/bench_out/table4_isp.meta.json")
 endif()
 
 # The streaming service is the most thread-shaped subsystem in the tree
-# (bounded MPMC queues, a condvar lead cap, seven worker groups), so a
-# tiny faulted soak runs under TSAN too.
+# (bounded MPMC queues, a condvar lead cap, concurrent per-worker model
+# forwards), so a tiny faulted soak runs under TSAN too.
 message(STATUS "==== tsan_smoke: build bench_fleet_soak ====")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
@@ -89,6 +90,23 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR
     "tsan_smoke: bench_fleet_soak exited with ${rc} (a ThreadSanitizer "
     "report fails the run; see output above)")
+endif()
+
+# A clean soak classifies every shot, so the develop workers' model
+# clones run their forwards concurrently for the whole run.
+message(STATUS "==== tsan_smoke: run clean soak under ThreadSanitizer ====")
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env
+    "EDGESTAB_CACHE=${CACHE_DIR}"
+    "TSAN_OPTIONS=halt_on_error=1"
+    "${build_dir}/bench/bench_fleet_soak" --threads 4
+    --devices 8 --shots 320 --bank 2 --scene 32
+  WORKING_DIRECTORY "${run_dir}"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+    "tsan_smoke: clean bench_fleet_soak exited with ${rc} (a "
+    "ThreadSanitizer report fails the run; see output above)")
 endif()
 
 message(STATUS "tsan_smoke OK — no races reported at --threads 4")

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "image/metrics.h"
 #include "isp/pipeline.h"
 #include "isp/raw.h"
 #include "isp/sensor.h"
 #include "isp/software_isp.h"
+#include "isp/stages.h"
+#include "tensor/backend.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -205,6 +208,77 @@ TEST(Stages, MalvarSharperThanBilinearOnEdges) {
   Image bil = demosaic(raw, DemosaicKind::kBilinear);
   Image mal = demosaic(raw, DemosaicKind::kMalvar);
   EXPECT_LT(mse(mal, truth), mse(bil, truth));
+}
+
+/// Runs a test body on the scalar tier, restoring the caller's tier.
+class ScalarTier {
+ public:
+  ScalarTier() : prev_(active_backend()) {
+    set_active_backend(BackendKind::kScalar);
+  }
+  ~ScalarTier() { set_active_backend(prev_); }
+
+ private:
+  BackendKind prev_;
+};
+
+bool same_bytes(const Image& a, const Image& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+TEST(Stages, ScalarMalvarInteriorMatchesClampedBorder) {
+  // Pad a mosaic S by two clamp-replicated pixels on every side (an even
+  // offset keeps the CFA phase). The padded mosaic's interior runs the
+  // in-bounds loop over exactly the taps S's clamped border reference
+  // reads, so every pixel of S must come back bit for bit.
+  ScalarTier scalar;
+  Pcg32 rng(19);
+  const int sizes[][2] = {{3, 4}, {5, 5}, {6, 9}, {64, 64}};
+  for (BayerPattern pattern : {BayerPattern::kRggb, BayerPattern::kBggr})
+    for (const auto& size : sizes) {
+      const int w = size[0], h = size[1];
+      RawImage small(w, h, pattern, 0.0f, 10);
+      for (float& v : small.data()) v = static_cast<float>(rng.uniform());
+      RawImage padded(w + 4, h + 4, pattern, 0.0f, 10);
+      for (int y = 0; y < h + 4; ++y)
+        for (int x = 0; x < w + 4; ++x)
+          padded.at(x, y) = small.at_clamped(x - 2, y - 2);
+      const Image want = demosaic(small, DemosaicKind::kMalvar);
+      const Image big = demosaic(padded, DemosaicKind::kMalvar);
+      Image got(w, h, 3);
+      for (int c = 0; c < 3; ++c)
+        for (int y = 0; y < h; ++y)
+          for (int x = 0; x < w; ++x) got.at(x, y, c) = big.at(x + 2, y + 2, c);
+      EXPECT_TRUE(same_bytes(got, want)) << w << "x" << h;
+    }
+}
+
+TEST(Stages, ScalarBoxBlurMatchesClampedTapLoop) {
+  ScalarTier scalar;
+  Pcg32 rng(21);
+  const int sizes[][2] = {{1, 1}, {2, 3}, {5, 7}, {64, 64}};
+  for (const auto& size : sizes)
+    for (int radius = 1; radius <= 3; ++radius) {
+      const int w = size[0], h = size[1];
+      Image src(w, h, 3);
+      for (float& v : src.data()) v = static_cast<float>(rng.uniform());
+      const float inv =
+          1.0f / static_cast<float>((2 * radius + 1) * (2 * radius + 1));
+      Image want(w, h, 3);
+      for (int c = 0; c < 3; ++c)
+        for (int y = 0; y < h; ++y)
+          for (int x = 0; x < w; ++x) {
+            float sum = 0.0f;
+            for (int dy = -radius; dy <= radius; ++dy)
+              for (int dx = -radius; dx <= radius; ++dx)
+                sum += src.at_clamped(x + dx, y + dy, c);
+            want.at(x, y, c) = sum * inv;
+          }
+      EXPECT_TRUE(same_bytes(box_blur(src, radius), want))
+          << w << "x" << h << " radius " << radius;
+    }
 }
 
 TEST(Stages, WhiteBalancePreset) {
