@@ -2,10 +2,10 @@
 // workspace, rig sizes, CSV emission, and the per-run observability
 // hook. Every bench prints the paper's rows/series and writes a
 // machine-readable CSV to bench_out/; the Run wrapper additionally emits
-// a provenance manifest (`<name>.meta.json`), and — when tracing is
-// compiled in — a Chrome trace (`<name>.trace.json`, open in
-// chrome://tracing or https://ui.perfetto.dev) plus a flat stage-timing
-// CSV aggregated from the span histograms.
+// a provenance manifest (`<name>.meta.json`), a Chrome trace
+// (`<name>.trace.json`, open in chrome://tracing or
+// https://ui.perfetto.dev) plus a flat stage-timing CSV aggregated from
+// the span histograms.
 #pragma once
 
 #include <algorithm>
@@ -121,13 +121,6 @@ inline std::string apply_fault_flag(int argc, char** argv) {
     fault::FaultInjector::global().reset();
     return "";
   }
-  if (!fault::kFaultsCompiledIn) {
-    std::fprintf(stderr,
-                 "[fault] plan '%s' requested but fault injection is "
-                 "compiled out (EDGESTAB_FAULTS=OFF); running clean\n",
-                 spec.c_str());
-    return "";
-  }
   fault::FaultInjector::global().configure(plan);
   std::printf("[fault] injection armed: %s\n", plan.summary().c_str());
   return plan.summary();
@@ -136,9 +129,7 @@ inline std::string apply_fault_flag(int argc, char** argv) {
 /// Parse `--profile` / `--profile=1` from a bench command line (falling
 /// back to the EDGESTAB_PROFILE environment variable) and arm the
 /// hot-path profiler (obs/profiler.h). Returns whether the profiler was
-/// armed; when profiling is compiled out (CMake -DEDGESTAB_PROFILE=OFF)
-/// the request is reported and the run proceeds unprofiled. Pass
-/// argc = 0 to consult the environment only.
+/// armed. Pass argc = 0 to consult the environment only.
 inline bool apply_profile_flag(int argc, char** argv) {
   bool want = false;
   if (const char* env = std::getenv("EDGESTAB_PROFILE")) {
@@ -153,12 +144,6 @@ inline bool apply_profile_flag(int argc, char** argv) {
       want = false;
   }
   if (!want) return false;
-  if (!obs::kProfileCompiledIn) {
-    std::fprintf(stderr,
-                 "[profile] profiling requested but compiled out "
-                 "(EDGESTAB_PROFILE=OFF); running without\n");
-    return false;
-  }
   obs::Profiler::global().clear();
   obs::Profiler::global().set_enabled(true);
   std::printf("[profile] hot-path profiler armed\n");
@@ -168,11 +153,9 @@ inline bool apply_profile_flag(int argc, char** argv) {
 /// Parse `--telemetry` / `--telemetry=0|off` from a bench command line
 /// (falling back to the EDGESTAB_TELEMETRY environment variable) and
 /// arm the fleet health registry. EDGESTAB_TELEMETRY_WINDOW overrides
-/// the item-window width. Returns whether telemetry was armed; when
-/// compiled out (CMake -DEDGESTAB_TELEMETRY=OFF) the request is
-/// reported and the run proceeds without. Arming also points the
-/// progress heartbeat at the registry's running alert estimate. Pass
-/// argc = 0 to consult the environment only.
+/// the item-window width. Returns whether telemetry was armed. Arming
+/// also points the progress heartbeat at the registry's running alert
+/// estimate. Pass argc = 0 to consult the environment only.
 inline bool apply_telemetry_flag(int argc, char** argv) {
   bool want = false;
   if (const char* env = std::getenv("EDGESTAB_TELEMETRY")) {
@@ -196,12 +179,6 @@ inline bool apply_telemetry_flag(int argc, char** argv) {
     }
     return false;
   }
-  if (!obs::kTelemetryCompiledIn) {
-    std::fprintf(stderr,
-                 "[telemetry] fleet telemetry requested but compiled out "
-                 "(EDGESTAB_TELEMETRY=OFF); running without\n");
-    return false;
-  }
   if (registry.enabled()) return true;  // already armed (env + flag paths)
   registry.clear();
   if (const char* env = std::getenv("EDGESTAB_TELEMETRY_WINDOW")) {
@@ -223,9 +200,8 @@ inline bool apply_telemetry_flag(int argc, char** argv) {
 /// EDGESTAB_TIMELINE_EPOCH sets the fold-epoch length in slots and
 /// `--trace-sample-rate X` / EDGESTAB_TRACE_SAMPLE_RATE the per-shot
 /// trace sample probability (stored as integer ppm). Returns whether
-/// the timeline was armed; when compiled out (-DEDGESTAB_TIMELINE=OFF)
-/// the request is reported and the run proceeds without. Pass argc = 0
-/// to consult the environment only.
+/// the timeline was armed. Pass argc = 0 to consult the environment
+/// only.
 inline bool apply_timeline_flag(int argc, char** argv) {
   bool want = false;
   if (const char* env = std::getenv("EDGESTAB_TIMELINE")) {
@@ -257,12 +233,6 @@ inline bool apply_timeline_flag(int argc, char** argv) {
   if (!want) {
     // An explicit --timeline=off overrides an env-armed recorder.
     if (recorder.enabled()) recorder.set_enabled(false);
-    return false;
-  }
-  if (!obs::kTimelineCompiledIn) {
-    std::fprintf(stderr,
-                 "[timeline] service timeline requested but compiled out "
-                 "(EDGESTAB_TIMELINE=OFF); running without\n");
     return false;
   }
   if (!recorder.enabled()) recorder.clear();
@@ -359,8 +329,8 @@ class Run {
                                 apply_backend_flag(argc, argv))),
         manifest_(name_) {
     banner(title);
-    if (obs::kTracingCompiledIn) obs::Tracer::global().set_enabled(true);
-    if (obs::kDriftCompiledIn) obs::DriftAuditor::global().set_enabled(true);
+    obs::Tracer::global().set_enabled(true);
+    obs::DriftAuditor::global().set_enabled(true);
     if (apply_profile_flag(argc, argv)) open_profile_root();
     apply_telemetry_flag(argc, argv);
     apply_timeline_flag(argc, argv);
@@ -514,7 +484,7 @@ class Run {
     // Close the root profile scope and freeze the profiler before any
     // snapshot: headline metrics and the exported report must see the
     // completed tree (root inclusive ≈ run wall time).
-    if (obs::kProfileCompiledIn && obs::Profiler::global().armed()) {
+    if (obs::Profiler::global().armed()) {
       profile_root_.reset();
       obs::Profiler::global().set_enabled(false);
       record_profile_metrics();
@@ -723,7 +693,7 @@ auto run_repeats(Run& run, Fn&& body) {
 /// numbers core/instability computed for the same observations. The two
 /// are independent implementations of the paper's §2.2 bookkeeping; a
 /// mismatch means the drift report is lying about the run and fails the
-/// bench. No-op when the auditor is off (or drift is compiled out).
+/// bench. No-op when the auditor is off.
 inline void check_flip_ledger(Run& run, const std::string& group,
                               const InstabilityResult& expected) {
   if (!obs::drift_enabled()) return;

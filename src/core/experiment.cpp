@@ -20,8 +20,8 @@ namespace edgestab {
 namespace {
 
 // ---- Divergence-auditor hooks ----------------------------------------------
-// All no-ops unless EDGESTAB_DRIFT is compiled in AND a bench enabled the
-// auditor; experiments stay oblivious to whether anyone is watching.
+// All no-ops unless a bench enabled the auditor; experiments stay
+// oblivious to whether anyone is watching.
 
 /// Name each environment index for the report tables.
 void drift_label_envs(const char* group,

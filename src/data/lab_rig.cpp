@@ -112,8 +112,8 @@ LabRun run_lab_rig(const std::vector<PhoneProfile>& fleet,
   // rig, then the raw bank's rig); stimulus ids restart from 0 each
   // time, so each run gets its own group name to keep reference
   // artifacts (and fault tallies) from colliding. The counter advances
-  // unconditionally so group names agree across build flavors. The
-  // string outlives every scope below.
+  // unconditionally so group names agree whether or not drift auditing
+  // is enabled. The string outlives every scope below.
   const int rig_run = rig_run_counter.fetch_add(1, std::memory_order_relaxed);
   const std::string group =
       rig_run == 0 ? "capture" : "capture#" + std::to_string(rig_run);

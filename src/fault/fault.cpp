@@ -191,8 +191,7 @@ FaultInjector& FaultInjector::global() {
 
 void FaultInjector::configure(const FaultPlan& plan) {
   plan_ = plan;
-  enabled_.store(kFaultsCompiledIn && plan.any(),
-                 std::memory_order_relaxed);
+  enabled_.store(plan.any(), std::memory_order_relaxed);
 }
 
 void FaultInjector::reset() {

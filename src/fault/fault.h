@@ -9,9 +9,9 @@
 // instability metrics depend on.
 //
 // The injector is a process-wide singleton, configured from a FaultPlan
-// (per-site rates + burst model, parsed from a --faults spec). When the
-// tree is built with EDGESTAB_FAULTS=OFF, enabled() folds to a constant
-// false and every injection site compiles to a no-op.
+// (per-site rates + burst model, parsed from a --faults spec). It is
+// always compiled in; with no plan armed every injection site costs one
+// relaxed atomic load.
 #pragma once
 
 #include <atomic>
@@ -22,11 +22,8 @@
 
 namespace edgestab::fault {
 
-#ifdef EDGESTAB_FAULTS
+// Always true; kept only because the benchmark driver reads it.
 inline constexpr bool kFaultsCompiledIn = true;
-#else
-inline constexpr bool kFaultsCompiledIn = false;
-#endif
 
 /// Per-site fault rates and resilience-policy knobs. All rates are
 /// per-event probabilities in [0, 1].
@@ -88,16 +85,12 @@ class FaultInjector {
  public:
   static FaultInjector& global();
 
-  /// Install a plan. Enables injection iff the plan has nonzero rates
-  /// (and faults are compiled in).
+  /// Install a plan. Enables injection iff the plan has nonzero rates.
   void configure(const FaultPlan& plan);
   /// Disable injection and reset the plan to all-zero rates.
   void reset();
 
-  bool enabled() const {
-    if constexpr (!kFaultsCompiledIn) return false;
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   const FaultPlan& plan() const { return plan_; }
 
   /// Did this device's capture of (item, shot) produce nothing?

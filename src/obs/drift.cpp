@@ -7,7 +7,6 @@
 
 #include "image/metrics.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/telemetry/telemetry.h"
 
 namespace edgestab::obs {
@@ -476,7 +475,7 @@ void DriftAuditor::clear() {
 }
 
 bool drift_enabled() {
-  return kDriftCompiledIn && DriftAuditor::global().enabled();
+  return DriftAuditor::global().enabled();
 }
 
 }  // namespace edgestab::obs

@@ -18,11 +18,8 @@
 // ledger (flip_ledger.h) rides along on the same singleton so exporters
 // can emit one coherent <name>.drift.json + HTML fleet report.
 //
-// Build flavors: with -DEDGESTAB_DRIFT=OFF the macros compile to
-// `((void)0)` and `kDriftCompiledIn` is false, but the classes remain
-// linked (and unit-testable) in both flavors — mirroring the tracing
-// design. With drift compiled in, a disabled auditor costs one relaxed
-// atomic load per tap.
+// Arming: the taps are always compiled in; a disabled auditor costs one
+// relaxed atomic load per tap (bench::Run enables it).
 //
 // Memory: references are stored u8-quantized (the comparison target is
 // the clamped [0,1] display range anyway) and capped per (group, stage).
@@ -199,7 +196,7 @@ class DriftAuditor {
   FlipLedger ledger_;
 };
 
-/// True when drift support is compiled in AND the auditor is enabled.
+/// True when the auditor is enabled.
 bool drift_enabled();
 
 }  // namespace edgestab::obs
@@ -211,8 +208,6 @@ bool drift_enabled();
 #define ES_OBS_CONCAT(a, b) ES_OBS_CONCAT_INNER(a, b)
 #endif
 
-#ifdef EDGESTAB_DRIFT
-
 #define ES_DRIFT_SCOPE(group, item, env)                                   \
   ::edgestab::obs::DriftScope ES_OBS_CONCAT(es_drift_scope_,               \
                                             __LINE__)(group, item, env)
@@ -223,10 +218,3 @@ bool drift_enabled();
       ::edgestab::obs::DriftAuditor::global().tap_stage(index, name,       \
                                                         image);            \
   } while (0)
-
-#else
-
-#define ES_DRIFT_SCOPE(group, item, env) ((void)0)
-#define ES_DRIFT_STAGE(index, name, image) ((void)0)
-
-#endif  // EDGESTAB_DRIFT

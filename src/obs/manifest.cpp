@@ -7,7 +7,6 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -151,8 +150,6 @@ std::string RunManifest::to_json() const {
       .value(static_cast<std::int64_t>(std::time(nullptr)));
   std::string sha = git_head_sha();
   w.key("git_sha").value(sha.empty() ? "unknown" : sha);
-  w.key("tracing_compiled_in").value(kTracingCompiledIn);
-  w.key("drift_compiled_in").value(kDriftCompiledIn);
   if (has_seed_) w.key("seed").value(seed_);
   if (wall_seconds_ >= 0.0) w.key("wall_seconds").value(wall_seconds_);
 

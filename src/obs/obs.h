@@ -1,9 +1,9 @@
 // Umbrella header + instrumentation macros for the observability layer.
 //
-// Hot-path sites use the macros, not the classes, so a build with
-// -DEDGESTAB_TRACING=OFF compiles every span to `((void)0)` — zero code,
-// zero data, zero clock reads. With tracing compiled in, spans still cost
-// only a relaxed atomic load until a bench enables the tracer.
+// Hot-path sites use the macros, not the classes. Every subsystem is
+// always compiled in and armed at runtime: until a bench enables the
+// tracer or arms the profiler, a span costs one enabled() check on
+// each.
 //
 //   {
 //     ES_TRACE_SCOPE("isp", "demosaic");   // span + latency histogram
@@ -15,15 +15,9 @@
 // scope (never as the single statement of an unbraced `if`). The
 // category/name arguments must be string literals; the span feeds the
 // registry histogram named "<category>.<name>", resolved once per call
-// site via a static local.
-//
-// The same sites also feed the hot-path profiler (obs/profiler.h): with
-// EDGESTAB_PROFILE compiled in, ES_TRACE_SCOPE additionally opens a
-// profile scope on the logical call tree, and ES_PROFILE_SCOPE opens a
-// profile scope *without* a tracer span — for sites that matter to time
-// attribution even in tracing-off builds. Both compile to `((void)0)`
-// when their option is off, and each gate independently, so every
-// flavor of (tracing × profile) builds.
+// site via a static local, and opens a scope on the hot-path profiler's
+// logical call tree (obs/profiler.h; the profiler caches intern lookups
+// by pointer identity).
 #pragma once
 
 #include "obs/manifest.h"
@@ -31,50 +25,10 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
-namespace edgestab::obs {
-
-#ifdef EDGESTAB_TRACING
-inline constexpr bool kTracingCompiledIn = true;
-#else
-inline constexpr bool kTracingCompiledIn = false;
-#endif
-
-#ifdef EDGESTAB_DRIFT
-inline constexpr bool kDriftCompiledIn = true;
-#else
-inline constexpr bool kDriftCompiledIn = false;
-#endif
-
-#ifdef EDGESTAB_PROFILE
-inline constexpr bool kProfileCompiledIn = true;
-#else
-inline constexpr bool kProfileCompiledIn = false;
-#endif
-
-}  // namespace edgestab::obs
-
 #ifndef ES_OBS_CONCAT
 #define ES_OBS_CONCAT_INNER(a, b) a##b
 #define ES_OBS_CONCAT(a, b) ES_OBS_CONCAT_INNER(a, b)
 #endif
-
-// Profile scope only (no tracer span, no histogram): the call-tree
-// profiler's own instrumentation points, live even when tracing is
-// compiled out. Category/name must be string literals (the profiler
-// caches intern lookups by pointer identity).
-#ifdef EDGESTAB_PROFILE
-
-#define ES_PROFILE_SCOPE(category, name)                                   \
-  ::edgestab::obs::ProfileScope ES_OBS_CONCAT(es_obs_pscope_,              \
-                                              __LINE__)(category, name)
-
-#else
-
-#define ES_PROFILE_SCOPE(category, name) ((void)0)
-
-#endif  // EDGESTAB_PROFILE
-
-#ifdef EDGESTAB_TRACING
 
 #define ES_TRACE_SCOPE(category, name)                                     \
   static ::edgestab::obs::Histogram& ES_OBS_CONCAT(es_obs_hist_,           \
@@ -83,7 +37,8 @@ inline constexpr bool kProfileCompiledIn = false;
                                                            "." name);      \
   ::edgestab::obs::ScopedSpan ES_OBS_CONCAT(es_obs_span_, __LINE__)(       \
       category, name, &ES_OBS_CONCAT(es_obs_hist_, __LINE__));             \
-  ES_PROFILE_SCOPE(category, name)
+  ::edgestab::obs::ProfileScope ES_OBS_CONCAT(es_obs_pscope_,              \
+                                              __LINE__)(category, name)
 
 #define ES_COUNT(name, delta)                                              \
   do {                                                                     \
@@ -93,10 +48,3 @@ inline constexpr bool kProfileCompiledIn = false;
       es_obs_counter.add(static_cast<std::uint64_t>(delta));               \
     }                                                                      \
   } while (0)
-
-#else
-
-#define ES_TRACE_SCOPE(category, name) ES_PROFILE_SCOPE(category, name)
-#define ES_COUNT(name, delta) ((void)0)
-
-#endif  // EDGESTAB_TRACING

@@ -35,10 +35,9 @@
 // report their own inclusive/exclusive, which overlap in wall terms —
 // the profile reports per-node attribution, not a partition of wall.
 //
-// The classes compile in every flavor so tests and tooling always link;
-// the EDGESTAB_PROFILE option controls whether the ES_TRACE_SCOPE /
-// ES_PROFILE_SCOPE macros emit scopes and whether the tracked
-// allocators report (obs/obs.h, util/alloc_track.h).
+// Every ES_TRACE_SCOPE site (obs/obs.h) opens a profile scope and every
+// tracked container reports through util/alloc_track.h; both stay inert
+// until a bench arms the profiler (--profile).
 #pragma once
 
 #include <cstdint>

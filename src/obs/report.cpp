@@ -7,7 +7,6 @@
 #include "obs/fault_ledger.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/profiler.h"
 #include "obs/telemetry/anomaly.h"
 #include "obs/telemetry/fleet_report.h"
@@ -108,7 +107,9 @@ std::string drift_json(const DriftAuditor& auditor,
   w.begin_object();
   w.key("schema").value("edgestab-drift-report-v1");
   w.key("bench").value(bench_name);
-  w.key("drift_compiled_in").value(kDriftCompiledIn);
+  // Always true; kept so the report text (and the manifest's
+  // drift_report digest of it) matches earlier runs.
+  w.key("drift_compiled_in").value(true);
   w.key("skipped_items").value(
       static_cast<std::int64_t>(auditor.skipped_items()));
   w.key("skipped_ref_bytes_items")
@@ -480,62 +481,59 @@ bool write_drift_report(const DriftAuditor& auditor,
 bool export_run_artifacts(const std::string& bench_name,
                           const std::string& dir, RunManifest& manifest) {
   bool ok = true;
-  if (kTracingCompiledIn) {
-    Tracer& tracer = Tracer::global();
-    // Freeze and flush: no span may race the export, and the exporting
-    // thread's staged events must land before the snapshot (worker
-    // threads flushed their staging when they exited).
-    tracer.set_enabled(false);
-    tracer.flush();
+  Tracer& tracer = Tracer::global();
+  // Freeze and flush: no span may race the export, and the exporting
+  // thread's staged events must land before the snapshot (worker
+  // threads flushed their staging when they exited).
+  tracer.set_enabled(false);
+  tracer.flush();
 
-    std::string timing_file = bench_name + "_stage_timing.csv";
-    std::string timing_path = dir + "/" + timing_file;
-    try {
-      stage_timing_csv(MetricsRegistry::global()).write_file(timing_path);
-      std::printf("[csv] %s\n", timing_path.c_str());
-      manifest.add_artifact(timing_file);
-    } catch (const CheckError& e) {
-      std::fprintf(stderr, "[csv] FAILED %s: %s\n", timing_path.c_str(),
-                   e.what());
-      ok = false;
-    }
+  std::string timing_file = bench_name + "_stage_timing.csv";
+  std::string timing_path = dir + "/" + timing_file;
+  try {
+    stage_timing_csv(MetricsRegistry::global()).write_file(timing_path);
+    std::printf("[csv] %s\n", timing_path.c_str());
+    manifest.add_artifact(timing_file);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "[csv] FAILED %s: %s\n", timing_path.c_str(),
+                 e.what());
+    ok = false;
+  }
 
-    std::string trace_file = bench_name + ".trace.json";
-    if (write_chrome_trace(tracer, dir + "/" + trace_file)) {
-      std::printf("[trace] %s/%s (%zu spans, %llu dropped)\n", dir.c_str(),
-                  trace_file.c_str(), tracer.size(),
-                  static_cast<unsigned long long>(tracer.dropped()));
-      manifest.add_artifact(trace_file);
-    } else {
-      ok = false;
-    }
-    if (tracer.dropped() > 0) {
-      std::fprintf(stderr,
-                   "[trace] %llu span events dropped (per-thread buffer "
-                   "full) — the trace is incomplete\n",
-                   static_cast<unsigned long long>(tracer.dropped()));
-      // Recorded only when non-zero so a clean run's meta.json stays
-      // byte-identical to one from before drop accounting existed.
-      manifest.set_field("trace_dropped_spans",
-                         static_cast<double>(tracer.dropped()));
-      ok = false;
-    }
+  std::string trace_file = bench_name + ".trace.json";
+  if (write_chrome_trace(tracer, dir + "/" + trace_file)) {
+    std::printf("[trace] %s/%s (%zu spans, %llu dropped)\n", dir.c_str(),
+                trace_file.c_str(), tracer.size(),
+                static_cast<unsigned long long>(tracer.dropped()));
+    manifest.add_artifact(trace_file);
+  } else {
+    ok = false;
+  }
+  if (tracer.dropped() > 0) {
+    std::fprintf(stderr,
+                 "[trace] %llu span events dropped (per-thread buffer "
+                 "full) — the trace is incomplete\n",
+                 static_cast<unsigned long long>(tracer.dropped()));
+    // Recorded only when non-zero so a clean run's meta.json stays
+    // byte-identical to one from before drop accounting existed.
+    manifest.set_field("trace_dropped_spans",
+                       static_cast<double>(tracer.dropped()));
+    ok = false;
   }
 
   // Profile artifacts are exported whenever a profiler was armed this
   // run (the --profile flag); an unarmed run writes nothing, keeping its
-  // artifact set byte-identical to a profile-less build.
-  if (kProfileCompiledIn && Profiler::global().armed()) {
+  // artifact set byte-identical to an unprofiled run.
+  if (Profiler::global().armed()) {
     Profiler::global().set_enabled(false);  // freeze before snapshotting
     ok = write_profile_report(Profiler::global(), bench_name, dir,
                               &manifest) &&
          ok;
   }
 
-  // Fault accounting goes to the manifest in every build flavor (the
-  // drift report carries the per-device detail when drift is compiled
-  // in) — a faulted run must be distinguishable from a clean one by its
-  // meta.json alone.
+  // Fault accounting goes to the manifest whether or not drift auditing
+  // ran (the drift report carries the per-device detail) — a faulted run
+  // must be distinguishable from a clean one by its meta.json alone.
   const FaultLedger& faults = FaultLedger::global();
   if (!faults.empty()) {
     manifest.add_digest("fault_ledger", faults.digest());
@@ -551,7 +549,7 @@ bool export_run_artifacts(const std::string& bench_name,
                        static_cast<double>(quarantined));
   }
 
-  if (kDriftCompiledIn && DriftAuditor::global().enabled()) {
+  if (DriftAuditor::global().enabled()) {
     ok = write_drift_report(DriftAuditor::global(), bench_name, dir,
                             &manifest) &&
          ok;
@@ -559,7 +557,7 @@ bool export_run_artifacts(const std::string& bench_name,
 
   // Fleet health artifacts land only when telemetry was armed this run
   // (--telemetry); an unarmed run's artifact set stays byte-identical
-  // to a telemetry-less build.
+  // to a run without telemetry.
   if (telemetry_enabled()) {
     const FleetHealthReport fleet =
         evaluate_fleet_health(DeviceHealthRegistry::global());

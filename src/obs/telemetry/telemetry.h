@@ -32,10 +32,8 @@
 // in depends only on its fleet coordinates, which is what makes online
 // folding order-independent.
 //
-// Build flavors: with -DEDGESTAB_TELEMETRY=OFF `kTelemetryCompiledIn`
-// is false and enabled() folds to constant false, so every hook
-// compiles to a dead test; the classes stay linked (and unit-testable)
-// in both flavors, mirroring the drift/fault design.
+// Arming: telemetry is always compiled in; until --telemetry enables the
+// registry, every hook costs one relaxed atomic load.
 #pragma once
 
 #include <atomic>
@@ -47,11 +45,8 @@
 
 namespace edgestab::obs {
 
-#ifdef EDGESTAB_TELEMETRY
+// Always true; kept only because the benchmark driver reads it.
 inline constexpr bool kTelemetryCompiledIn = true;
-#else
-inline constexpr bool kTelemetryCompiledIn = false;
-#endif
 
 /// Per-device status state machine. Transitions are folded serially
 /// over windows by evaluate_fleet_health: healthy → degraded when a
@@ -168,12 +163,7 @@ class DeviceHealthRegistry {
 
   DeviceHealthRegistry() = default;
 
-  /// False in an EDGESTAB_TELEMETRY=OFF build no matter what a caller
-  /// set, so every hook folds to a dead test.
-  bool enabled() const {
-    if constexpr (!kTelemetryCompiledIn) return false;
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   /// Window width in items; takes effect for subsequent records, so set
@@ -290,10 +280,9 @@ class DeviceHealthRegistry {
   std::map<int, DeviceState> devices_;
 };
 
-/// True when telemetry is compiled in AND the global registry is
-/// enabled — the one-line guard every hook site uses.
+/// True when the global registry is enabled — the one-line guard every
+/// hook site uses.
 inline bool telemetry_enabled() {
-  if constexpr (!kTelemetryCompiledIn) return false;
   return DeviceHealthRegistry::global().enabled();
 }
 

@@ -32,10 +32,8 @@
 // seamlessly; restore refuses a state whose epoch length or trace
 // sample rate differ from the live knobs.
 //
-// Build flavors: with -DEDGESTAB_TIMELINE=OFF `kTimelineCompiledIn` is
-// false and enabled() folds to constant false, so every hook compiles
-// to a dead test; the classes stay linked (and unit-testable) in both
-// flavors, mirroring the drift/fault/telemetry design.
+// Arming: the timeline is always compiled in; until --timeline enables
+// the recorder, every hook costs one relaxed atomic load.
 #pragma once
 
 #include <atomic>
@@ -47,11 +45,8 @@
 
 namespace edgestab::obs {
 
-#ifdef EDGESTAB_TIMELINE
+// Always true; kept only because the benchmark driver reads it.
 inline constexpr bool kTimelineCompiledIn = true;
-#else
-inline constexpr bool kTimelineCompiledIn = false;
-#endif
 
 /// Breaker census states. 0-2 mirror service::BreakerState; 3 is the
 /// sticky-open terminal (the timeline keeps its own id space so obs
@@ -160,12 +155,7 @@ class TimelineRecorder {
 
   TimelineRecorder() = default;
 
-  /// False in an EDGESTAB_TIMELINE=OFF build no matter what a caller
-  /// set, so every hook folds to a dead test.
-  bool enabled() const {
-    if constexpr (!kTimelineCompiledIn) return false;
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   /// Epoch length in folded slots (clamped to >= 1). Set before the run
@@ -257,10 +247,9 @@ class TimelineRecorder {
   long long traces_dropped_ = 0;
 };
 
-/// True when the timeline is compiled in AND the global recorder is
-/// enabled — the one-line guard every hook site uses.
+/// True when the global recorder is enabled — the one-line guard every
+/// hook site uses.
 inline bool timeline_enabled() {
-  if constexpr (!kTimelineCompiledIn) return false;
   return TimelineRecorder::global().enabled();
 }
 

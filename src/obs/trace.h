@@ -8,9 +8,8 @@
 // `trace_event` JSON (chrome://tracing, Perfetto) and, aggregated, as the
 // per-stage latency histograms in MetricsRegistry.
 //
-// Instrumentation sites use the ES_TRACE_SCOPE macro from obs/obs.h, which
-// compiles to nothing when EDGESTAB_TRACING is off — the classes here stay
-// available in both builds so tooling and tests always link.
+// Instrumentation sites use the ES_TRACE_SCOPE macro from obs/obs.h; a
+// span records nothing until a bench enables the tracer.
 #pragma once
 
 #include <atomic>

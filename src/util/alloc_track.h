@@ -8,15 +8,13 @@
 // profiler registers at arm time, and a stateless std::allocator shim
 // that reports every allocate/deallocate through it.
 //
-// With EDGESTAB_PROFILE compiled out, TrackingAllocator *is*
-// std::allocator — the tracked containers are the exact same types as
-// before and the hook table is never consulted, so the flavor costs
-// nothing and changes no ABI surface inside the tree.
+// Until the profiler installs its hooks, each tracked allocation costs
+// one atomic load and a null check.
 //
 // Determinism: the hooks observe allocation events, never alter them.
 // Whether a sink is installed (and whether the profiler is enabled) has
 // zero effect on what the containers allocate, so results stay
-// bit-identical with profiling on, off, or compiled out.
+// bit-identical with profiling armed or not.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +49,6 @@ struct AllocHooks {
 /// parallel work starts (the profiler arms in bench::Run's constructor).
 void set_alloc_hooks(const AllocHooks* hooks);
 const AllocHooks* alloc_hooks();
-
-#ifdef EDGESTAB_PROFILE
 
 /// std::allocator shim that reports through the installed AllocHooks.
 /// Stateless and always-equal, so container copies/moves/swaps behave
@@ -91,15 +87,7 @@ class TrackingAllocator {
   }
 };
 
-#else
-
-// Profile hooks compiled out: tracked containers are plain std::vector.
-template <typename T, AllocSite Site>
-using TrackingAllocator = std::allocator<T>;
-
-#endif  // EDGESTAB_PROFILE
-
-/// Vector whose heap traffic is attributed to `Site` in profiling builds.
+/// Vector whose heap traffic is attributed to `Site` when profiling.
 template <typename T, AllocSite Site>
 using TrackedVector = std::vector<T, TrackingAllocator<T, Site>>;
 
@@ -109,7 +97,7 @@ using TrackedVector = std::vector<T, TrackingAllocator<T, Site>>;
 /// copies) is untouched, so a container only ever holds indeterminate
 /// bytes when its owner grew it through the no-value path on purpose.
 /// This is a type-level opt-in: only containers declared with this
-/// adaptor change behavior, and identically in every build flavor.
+/// adaptor change behavior.
 template <typename A>
 class DefaultInitAllocator : public A {
   using Traits = std::allocator_traits<A>;

@@ -1,12 +1,11 @@
 # Runs one bench binary end-to-end in a scratch directory and asserts its
-# artifacts land: the result CSV and provenance manifest always, the
-# Chrome trace only when tracing is compiled in, the drift reports only
-# when divergence auditing is compiled in (and their absence when not).
-# Invoked by the `bench_artifacts` ctest entry; the model cache lives in
-# the build tree so only the first run pays for pretraining.
+# artifacts land: the result CSV, provenance manifest, Chrome trace,
+# stage-timing CSV and drift reports. Invoked by the `bench_artifacts`
+# ctest entry; the model cache lives in the build tree so only the first
+# run pays for pretraining.
 #
 # Expected -D variables: BENCH_EXE, WORK_DIR, CACHE_DIR, BENCH_NAME,
-# CSV_FILE, TRACING_ON, DRIFT_ON.
+# CSV_FILE.
 foreach(var BENCH_EXE WORK_DIR CACHE_DIR BENCH_NAME CSV_FILE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_bench_artifacts: ${var} not set")
@@ -38,44 +37,32 @@ if(NOT meta MATCHES "edgestab-run-manifest-v1")
 endif()
 
 set(trace "${out}/${BENCH_NAME}.trace.json")
-if(TRACING_ON)
-  if(NOT EXISTS "${trace}")
-    message(FATAL_ERROR "tracing build produced no ${trace}")
-  endif()
-  file(READ "${trace}" trace_doc)
-  if(NOT trace_doc MATCHES "traceEvents")
-    message(FATAL_ERROR "${trace} is not a Chrome trace document")
-  endif()
-  if(NOT EXISTS "${out}/${BENCH_NAME}_stage_timing.csv")
-    message(FATAL_ERROR "missing ${out}/${BENCH_NAME}_stage_timing.csv")
-  endif()
-else()
-  if(EXISTS "${trace}")
-    message(FATAL_ERROR "non-tracing build still wrote ${trace}")
-  endif()
+if(NOT EXISTS "${trace}")
+  message(FATAL_ERROR "bench produced no ${trace}")
+endif()
+file(READ "${trace}" trace_doc)
+if(NOT trace_doc MATCHES "traceEvents")
+  message(FATAL_ERROR "${trace} is not a Chrome trace document")
+endif()
+if(NOT EXISTS "${out}/${BENCH_NAME}_stage_timing.csv")
+  message(FATAL_ERROR "missing ${out}/${BENCH_NAME}_stage_timing.csv")
 endif()
 
 set(drift_json "${out}/${BENCH_NAME}.drift.json")
 set(drift_html "${out}/${BENCH_NAME}.drift.html")
-if(DRIFT_ON)
-  if(NOT EXISTS "${drift_json}")
-    message(FATAL_ERROR "drift build produced no ${drift_json}")
-  endif()
-  file(READ "${drift_json}" drift_doc)
-  if(NOT drift_doc MATCHES "edgestab-drift-report-v1")
-    message(FATAL_ERROR "${drift_json} lacks the drift report schema")
-  endif()
-  if(NOT EXISTS "${drift_html}")
-    message(FATAL_ERROR "drift build produced no ${drift_html}")
-  endif()
-  # The manifest must carry the drift digests bench::Run folded in.
-  if(NOT meta MATCHES "drift_report")
-    message(FATAL_ERROR "manifest lacks the drift_report digest")
-  endif()
-else()
-  if(EXISTS "${drift_json}" OR EXISTS "${drift_html}")
-    message(FATAL_ERROR "non-drift build still wrote drift reports")
-  endif()
+if(NOT EXISTS "${drift_json}")
+  message(FATAL_ERROR "bench produced no ${drift_json}")
+endif()
+file(READ "${drift_json}" drift_doc)
+if(NOT drift_doc MATCHES "edgestab-drift-report-v1")
+  message(FATAL_ERROR "${drift_json} lacks the drift report schema")
+endif()
+if(NOT EXISTS "${drift_html}")
+  message(FATAL_ERROR "bench produced no ${drift_html}")
+endif()
+# The manifest must carry the drift digests bench::Run folded in.
+if(NOT meta MATCHES "drift_report")
+  message(FATAL_ERROR "manifest lacks the drift_report digest")
 endif()
 
 message(STATUS "bench artifacts OK in ${out}")

@@ -242,6 +242,7 @@ struct EndToEndDigests {
   std::uint64_t faults = 0;      ///< fault-ledger fingerprint (0 clean)
   std::uint64_t resilience = 0;  ///< coverage/quarantine fingerprint
   int shots_lost = 0;
+  std::size_t spans = 0;  ///< tracer events visible to the calling thread
 };
 
 // The lab rig names each run's drift group "capture", "capture#1", ...
@@ -256,12 +257,18 @@ std::string base_group(const std::string& group) {
 // of everything the paper's tables are built from. When `faulted`, the
 // run executes under an aggressive fault plan — the fault schedule and
 // the resulting retries / quarantines / coverage accounting must be
-// just as lane-count-invariant as the clean numbers.
-EndToEndDigests run_fixture(int threads, bool faulted = false) {
+// just as lane-count-invariant as the clean numbers. `observed` arms the
+// drift auditor and the tracer, as bench::Run does; unobserved runs leave
+// the drift digests at 0.
+EndToEndDigests run_fixture(int threads, bool faulted = false,
+                            bool observed = true) {
   runtime::ThreadPool::set_global_threads(threads);
   auto& auditor = obs::DriftAuditor::global();
+  auto& tracer = obs::Tracer::global();
   auditor.clear();
-  if (obs::kDriftCompiledIn) auditor.set_enabled(true);
+  auditor.set_enabled(observed);
+  tracer.clear();
+  tracer.set_enabled(observed);
   obs::FaultLedger::global().clear();
   if (faulted) {
     fault::FaultInjector::global().configure(fault::parse_fault_plan(
@@ -297,7 +304,10 @@ EndToEndDigests run_fixture(int threads, bool faulted = false) {
   for (double wp : result.within_phone_instability) obs_fp.add(wp);
   d.observations = obs_fp.value();
 
-  if (obs::kDriftCompiledIn) {
+  tracer.set_enabled(false);
+  d.spans = tracer.size();
+  tracer.clear();
+  if (observed) {
     d.ledger = auditor.ledger().digest();
     Fingerprint drift_fp;
     for (const auto& s : auditor.stage_summaries())
@@ -441,12 +451,29 @@ TEST(RuntimeDeterminism, FaultedEndToEndBitIdenticalAcrossLaneCounts) {
   EXPECT_EQ(one.resilience, two.resilience);
   EXPECT_EQ(one.resilience, eight.resilience);
 
-  if (fault::kFaultsCompiledIn) {
-    // The aggressive plan must actually bite, or the test proves nothing.
-    EXPECT_GT(one.shots_lost, 0);
-  } else {
-    EXPECT_EQ(one.shots_lost, 0);
-  }
+  // The aggressive plan must actually bite, or the test proves nothing.
+  EXPECT_GT(one.shots_lost, 0);
+}
+
+// Observe, never alter: arming the drift auditor and the tracer must not
+// move a single observation. One lane, so every span lands in the
+// calling thread's buffer where size() sees it.
+TEST(RuntimeDeterminism, ArmingDriftAndTracingNeverAltersResults) {
+  PoolWidthGuard guard;
+  EndToEndDigests armed = run_fixture(1, /*faulted=*/false,
+                                      /*observed=*/true);
+  EndToEndDigests unarmed = run_fixture(1, /*faulted=*/false,
+                                        /*observed=*/false);
+
+  // Both recorders really ran in the armed run; the unarmed one traced
+  // nothing.
+  EXPECT_NE(armed.drift, 0u);
+  EXPECT_NE(armed.ledger, 0u);
+  EXPECT_GT(armed.spans, 0u);
+  EXPECT_EQ(unarmed.spans, 0u);
+
+  EXPECT_EQ(armed.observations, unarmed.observations);
+  EXPECT_EQ(armed.resilience, unarmed.resilience);
 }
 
 }  // namespace

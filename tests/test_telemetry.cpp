@@ -4,11 +4,6 @@
 // gating), the per-device status state machine, the canonical alert
 // ledger, the fleet.json round trip, the events.jsonl shape, and HTML
 // escaping of hostile device labels in the dashboard.
-//
-// Registry-feeding tests skip when telemetry is compiled out
-// (EDGESTAB_TELEMETRY=OFF folds every record hook to a dead test); the
-// anomaly engine, alert ledger and exporters operate on hand-built
-// structures and run in both flavors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,7 +116,6 @@ TEST(Telemetry, DisabledRegistryRecordsNothing) {
 }
 
 TEST(Telemetry, RegistryWindowsQuantizesAndDerivesRates) {
-  if (!kTelemetryCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   DeviceHealthRegistry registry;
   registry.set_enabled(true);
   registry.set_window_items(4);
@@ -180,7 +174,6 @@ TEST(Telemetry, RegistryWindowsQuantizesAndDerivesRates) {
 }
 
 TEST(Telemetry, RegistryMergeAndDigestAreOrderIndependent) {
-  if (!kTelemetryCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   auto feed = [](DeviceHealthRegistry& r, bool reversed) {
     struct Event {
       int device, item;
@@ -225,7 +218,6 @@ TEST(Telemetry, RegistryMergeAndDigestAreOrderIndependent) {
 }
 
 TEST(Telemetry, RegistryClearPreservesEnabled) {
-  if (!kTelemetryCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   DeviceHealthRegistry registry;
   registry.set_enabled(true);
   registry.record_shot(0, 0, 0, 1, false, 1.0, 0);
@@ -241,7 +233,6 @@ TEST(Telemetry, RegistryClearPreservesEnabled) {
 }
 
 TEST(Telemetry, LiveAlertHeuristicCountsLossBursts) {
-  if (!kTelemetryCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   DeviceHealthRegistry registry;
   registry.set_enabled(true);
   for (long long i = 0; i < DeviceHealthRegistry::kLiveLossAlertShots - 1; ++i)
@@ -333,7 +324,6 @@ TEST(Telemetry, RobustZNeedsMinimumFleetSize) {
 // ---- Status state machine -------------------------------------------------
 
 TEST(Telemetry, StatusMachineDegradesAndRecovers) {
-  if (!kTelemetryCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   DeviceHealthRegistry registry;
   registry.set_enabled(true);
   registry.set_window_items(4);
@@ -359,7 +349,6 @@ TEST(Telemetry, StatusMachineDegradesAndRecovers) {
 }
 
 TEST(Telemetry, StatusMachineQuarantineIsSticky) {
-  if (!kTelemetryCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   DeviceHealthRegistry registry;
   registry.set_enabled(true);
   registry.set_window_items(4);
