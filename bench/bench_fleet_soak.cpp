@@ -16,12 +16,13 @@
 // kill/resume boundary — the soak_gate ctest enforces both.
 #include "bench_util.h"
 
-#include <cinttypes>
 #include <string>
 
 #include "fault/latency.h"
+#include "obs/json.h"
 #include "obs/timeline/timeline.h"
 #include "service/pipeline.h"
+#include "util/bytes.h"
 #include "util/csv.h"
 
 using namespace edgestab;
@@ -60,12 +61,6 @@ bool bool_flag(int argc, char** argv, const std::string& name) {
     if (arg == name || arg == name + "=1") return true;
   }
   return false;
-}
-
-std::string u64_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
 }
 
 }  // namespace
@@ -141,56 +136,14 @@ int main(int argc, char** argv) {
 
   run.set_items(static_cast<double>(report.agg.shots_folded));
 
-  std::printf("\n== fleet soak: %d devices x %lld slots (%lld shots) ==\n",
-              report.devices, report.slots, report.shots);
-  if (report.resumed_from_slot >= 0)
-    std::printf("resumed from slot %lld; %d checkpoint(s) written\n",
-                report.resumed_from_slot, report.checkpoints_written);
-
-  Table outcomes({"OUTCOME", "SHOTS", "SHARE"});
-  const double folded =
-      static_cast<double>(std::max<long long>(1, report.agg.shots_folded));
-  auto outcome_row = [&](const char* name, long long n) {
-    outcomes.add_row({name, std::to_string(n),
-                      Table::pct(static_cast<double>(n) / folded)});
-  };
-  outcome_row("ok", report.agg.ok);
-  outcome_row("shed", report.agg.shed);
-  outcome_row("breaker-reject", report.agg.rejected);
-  outcome_row("deadline-timeout", report.agg.timeouts);
-  outcome_row("capture-lost", report.agg.capture_lost);
-  outcome_row("decode-lost", report.agg.decode_lost);
-  std::printf("%s\n", outcomes.str().c_str());
-
-  Table stages({"STAGE", "WORKERS", "CAP", "HIGH-WATER", "PROCESSED",
-                "BUSY-MS", "POP-WAIT-MS", "PUSH-WAIT-MS"});
   std::size_t peak_depth = 0;
-  for (const service::StageStats& s : report.stages) {
+  for (const service::StageStats& s : report.stages)
     peak_depth = std::max(peak_depth, s.high_water);
-    stages.add_row({s.name, std::to_string(s.workers),
-                    std::to_string(s.capacity),
-                    std::to_string(s.high_water),
-                    std::to_string(s.processed), Table::num(s.busy_ms, 1),
-                    Table::num(s.blocked_pop_ms, 1),
-                    Table::num(s.blocked_push_ms, 1)});
-  }
-  std::printf("%s\n", stages.str().c_str());
-
-  std::printf(
-      "breaker: %lld open(s), %lld close(s), %lld reject(s); "
-      "end state %d open / %d half-open / %d sticky\n",
-      report.breaker_opens, report.breaker_closes, report.breaker_rejects,
-      report.open_devices, report.half_open_devices,
-      report.sticky_devices);
-  std::printf(
-      "latency (modeled): p50 %.1f ms  p99 %.1f ms  p99.9 %.1f ms  "
-      "max %.1f ms\n",
-      static_cast<double>(report.latency_p50_us) / 1000.0,
-      static_cast<double>(report.latency_p99_us) / 1000.0,
-      static_cast<double>(report.latency_p999_us) / 1000.0,
-      static_cast<double>(report.latency_max_us) / 1000.0);
-  std::printf("throughput: %.1f shots/s over %.2f s wall\n\n",
-              report.shots_per_second, report.wall_seconds);
+  const std::string soak_json = service::serialize_soak_report(report);
+  std::printf("\n%s\n",
+              service::soak_text(obs::parse_json(soak_json).value(),
+                                 run.name(), 0)
+                  .c_str());
 
   // Correctness surface: every count below is deterministic at any
   // --threads and across kill/resume.
@@ -212,13 +165,13 @@ int main(int argc, char** argv) {
   exact("slots_fully_covered",
         static_cast<double>(report.agg.slots_fully_covered));
   exact("latency_p99_us", static_cast<double>(report.latency_p99_us));
-  run.record_digest_metric("soak_digest", u64_hex(report.agg_digest));
+  run.record_digest_metric("soak_digest", obs::hex_digest(report.agg_digest));
   run.record_digest_metric("soak_ledger_digest",
-                           u64_hex(report.ledger_digest));
+                           obs::hex_digest(report.ledger_digest));
   run.record_digest_metric("soak_breaker_digest",
-                           u64_hex(report.breaker_digest));
+                           obs::hex_digest(report.breaker_digest));
   run.record_digest_metric("soak_telemetry_digest",
-                           u64_hex(report.telemetry_digest));
+                           obs::hex_digest(report.telemetry_digest));
   run.record_metric("shots_per_second", report.shots_per_second,
                     MetricKind::kPerf, Direction::kHigherIsBetter, "1/s");
   run.record_metric("peak_queue_depth", static_cast<double>(peak_depth),
@@ -296,18 +249,15 @@ int main(int argc, char** argv) {
     run.write_csv(csv, run.name() + "_devices.csv");
   }
 
-  // The offline artifact (edgestab_sentinel soak FILE re-renders it).
+  // The offline artifact (edgestab_sentinel render FILE re-renders it).
   std::string out_path = string_flag(argc, argv, "--soak-out",
                                      "bench_out/" + run.name() + ".soak.json");
   std::string dir;
   if (bench::ensure_out_dir(dir)) {
-    std::string error;
-    if (service::write_soak_report_file(out_path, report, &error)) {
+    if (write_text_file(out_path, soak_json))
       std::printf("soak report: %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "[soak] %s\n", error.c_str());
+    else
       run.fail();
-    }
   }
   return run.finish();
 }

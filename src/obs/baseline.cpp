@@ -4,11 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <map>
-#include <sstream>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 
 namespace edgestab::obs {
 
@@ -16,22 +15,6 @@ namespace {
 
 constexpr char kRunRecordSchema[] = "edgestab-run-record-v1";
 constexpr char kBaselineSchema[] = "edgestab-baseline-v1";
-
-/// Numeric member with NaN for an explicit JSON null (the writer's
-/// rendering of NaN/Inf) and `fallback` when absent or mistyped.
-double number_member(const JsonValue& obj, const char* key,
-                     double fallback) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->is_null()) return std::numeric_limits<double>::quiet_NaN();
-  return v->number_or(fallback);
-}
-
-std::string string_member(const JsonValue& obj, const char* key,
-                          std::string fallback = "") {
-  const JsonValue* v = obj.find(key);
-  return v == nullptr ? fallback : v->string_or(std::move(fallback));
-}
 
 void emit_digests(
     JsonWriter& w,
@@ -50,18 +33,6 @@ std::vector<std::pair<std::string, std::string>> parse_digests(
     for (const auto& [name, value] : digests->members)
       out.emplace_back(name, value.string_or(""));
   return out;
-}
-
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -199,38 +170,38 @@ bool parse_run_record(const JsonValue& doc, RunRecord* out,
     if (error != nullptr) *error = "run record is not a JSON object";
     return false;
   }
-  if (string_member(doc, "schema") != kRunRecordSchema) {
+  if (doc.str_or("schema", "") != kRunRecordSchema) {
     if (error != nullptr)
       *error = "missing or unknown schema (want " +
                std::string(kRunRecordSchema) + ")";
     return false;
   }
   RunRecord record;
-  record.bench = string_member(doc, "bench");
+  record.bench = doc.str_or("bench", "");
   if (record.bench.empty()) {
     if (error != nullptr) *error = "run record has no bench name";
     return false;
   }
-  record.git_sha = string_member(doc, "git_sha");
+  record.git_sha = doc.str_or("git_sha", "");
   record.created_unix =
-      static_cast<std::int64_t>(number_member(doc, "created_unix", 0.0));
+      static_cast<std::int64_t>(doc.num_or_nan("created_unix", 0.0));
   if (const JsonValue* seed = doc.find("seed"); seed != nullptr) {
     record.has_seed = true;
     record.seed = static_cast<std::uint64_t>(seed->number_or(0.0));
   }
-  record.threads = static_cast<int>(number_member(doc, "threads", 1.0));
-  record.fault_plan = string_member(doc, "fault_plan");
-  record.items = number_member(doc, "items", 0.0);
+  record.threads = static_cast<int>(doc.num_or_nan("threads", 1.0));
+  record.fault_plan = doc.str_or("fault_plan", "");
+  record.items = doc.num_or_nan("items", 0.0);
   record.max_rss_kb =
-      static_cast<long>(number_member(doc, "max_rss_kb", 0.0));
+      static_cast<long>(doc.num_or_nan("max_rss_kb", 0.0));
   record.digests = parse_digests(doc);
   if (const JsonValue* repeats = doc.find("repeats");
       repeats != nullptr && repeats->is_array()) {
     for (const JsonValue& r : repeats->items) {
       RepeatSample sample;
-      sample.wall_seconds = number_member(r, "wall_seconds", 0.0);
-      sample.user_seconds = number_member(r, "user_seconds", 0.0);
-      sample.sys_seconds = number_member(r, "sys_seconds", 0.0);
+      sample.wall_seconds = r.num_or_nan("wall_seconds", 0.0);
+      sample.user_seconds = r.num_or_nan("user_seconds", 0.0);
+      sample.sys_seconds = r.num_or_nan("sys_seconds", 0.0);
       record.repeats.push_back(sample);
     }
   }
@@ -243,16 +214,16 @@ bool parse_run_record(const JsonValue& doc, RunRecord* out,
       metrics != nullptr && metrics->is_array()) {
     for (const JsonValue& m : metrics->items) {
       MetricSample sample;
-      sample.name = string_member(m, "name");
-      sample.kind = parse_metric_kind(string_member(m, "kind"))
+      sample.name = m.str_or("name", "");
+      sample.kind = parse_metric_kind(m.str_or("kind", ""))
                         .value_or(MetricKind::kCorrectness);
-      sample.direction = parse_direction(string_member(m, "direction"))
+      sample.direction = parse_direction(m.str_or("direction", ""))
                              .value_or(Direction::kExact);
-      sample.unit = string_member(m, "unit");
-      sample.value = number_member(m, "value", 0.0);
-      sample.text = string_member(m, "text");
-      sample.epsilon = number_member(m, "epsilon", 0.0);
-      sample.abs_floor = number_member(m, "abs_floor", 0.0);
+      sample.unit = m.str_or("unit", "");
+      sample.value = m.num_or_nan("value", 0.0);
+      sample.text = m.str_or("text", "");
+      sample.epsilon = m.num_or_nan("epsilon", 0.0);
+      sample.abs_floor = m.num_or_nan("abs_floor", 0.0);
       if (!sample.name.empty()) record.metrics.push_back(std::move(sample));
     }
   }
@@ -448,21 +419,21 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
     if (error != nullptr) *error = "baseline is not a JSON object";
     return false;
   }
-  if (string_member(doc, "schema") != kBaselineSchema) {
+  if (doc.str_or("schema", "") != kBaselineSchema) {
     if (error != nullptr)
       *error = "missing or unknown schema (want " +
                std::string(kBaselineSchema) + ")";
     return false;
   }
   Baseline baseline;
-  baseline.bench = string_member(doc, "bench");
+  baseline.bench = doc.str_or("bench", "");
   if (baseline.bench.empty()) {
     if (error != nullptr) *error = "baseline has no bench name";
     return false;
   }
-  baseline.git_sha = string_member(doc, "git_sha");
+  baseline.git_sha = doc.str_or("git_sha", "");
   baseline.created_unix =
-      static_cast<std::int64_t>(number_member(doc, "created_unix", 0.0));
+      static_cast<std::int64_t>(doc.num_or_nan("created_unix", 0.0));
   if (const JsonValue* provenance = doc.find("provenance");
       provenance != nullptr && provenance->is_object()) {
     if (const JsonValue* seed = provenance->find("seed"); seed != nullptr) {
@@ -470,26 +441,26 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
       baseline.seed = static_cast<std::uint64_t>(seed->number_or(0.0));
     }
     baseline.threads =
-        static_cast<int>(number_member(*provenance, "threads", 1.0));
-    baseline.fault_plan = string_member(*provenance, "fault_plan");
+        static_cast<int>(provenance->num_or_nan("threads", 1.0));
+    baseline.fault_plan = provenance->str_or("fault_plan", "");
     baseline.digests = parse_digests(*provenance);
   }
   if (const JsonValue* metrics = doc.find("metrics");
       metrics != nullptr && metrics->is_array()) {
     for (const JsonValue& m : metrics->items) {
       BaselineMetric metric;
-      metric.name = string_member(m, "name");
-      metric.kind = parse_metric_kind(string_member(m, "kind"))
+      metric.name = m.str_or("name", "");
+      metric.kind = parse_metric_kind(m.str_or("kind", ""))
                         .value_or(MetricKind::kPerf);
-      metric.direction = parse_direction(string_member(m, "direction"))
+      metric.direction = parse_direction(m.str_or("direction", ""))
                              .value_or(Direction::kLowerIsBetter);
-      metric.unit = string_member(m, "unit");
-      metric.median = number_member(m, "median", 0.0);
-      metric.mad = number_member(m, "mad", 0.0);
-      metric.n = static_cast<int>(number_member(m, "n", 0.0));
-      metric.abs_floor = number_member(m, "abs_floor", 0.0);
-      metric.epsilon = number_member(m, "epsilon", 0.0);
-      metric.text = string_member(m, "text");
+      metric.unit = m.str_or("unit", "");
+      metric.median = m.num_or_nan("median", 0.0);
+      metric.mad = m.num_or_nan("mad", 0.0);
+      metric.n = static_cast<int>(m.num_or_nan("n", 0.0));
+      metric.abs_floor = m.num_or_nan("abs_floor", 0.0);
+      metric.epsilon = m.num_or_nan("epsilon", 0.0);
+      metric.text = m.str_or("text", "");
       if (!metric.name.empty()) baseline.metrics.push_back(std::move(metric));
     }
   }
@@ -499,15 +470,13 @@ bool parse_baseline(const JsonValue& doc, Baseline* out,
 
 bool load_baseline(const std::string& path, Baseline* out,
                    std::string* error) {
-  std::ifstream in(path);
-  if (!in.good()) {
+  const std::optional<std::string> text = read_text_file(path);
+  if (!text.has_value()) {
     if (error != nullptr) *error = "cannot open " + path;
     return false;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
   std::string parse_error;
-  std::optional<JsonValue> doc = parse_json(buffer.str(), &parse_error);
+  std::optional<JsonValue> doc = parse_json(*text, &parse_error);
   if (!doc.has_value()) {
     if (error != nullptr) *error = path + ": " + parse_error;
     return false;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/check.h"
 
@@ -114,6 +115,41 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   for (const auto& [k, v] : members)
     if (k == key) return &v;
   return nullptr;
+}
+
+long long JsonValue::ll_or(std::string_view key, long long fallback) const {
+  const JsonValue* v = find(key);
+  return v != nullptr && v->is_number() ? static_cast<long long>(v->number)
+                                        : fallback;
+}
+
+long long JsonValue::rounded_or(std::string_view key,
+                                long long fallback) const {
+  const JsonValue* v = find(key);
+  return v != nullptr && v->is_number() ? std::llround(v->number) : fallback;
+}
+
+double JsonValue::num_or(std::string_view key, double fallback) const {
+  const JsonValue* v = find(key);
+  return v != nullptr ? v->number_or(fallback) : fallback;
+}
+
+double JsonValue::num_or_nan(std::string_view key, double fallback) const {
+  const JsonValue* v = find(key);
+  if (v != nullptr && v->is_null())
+    return std::numeric_limits<double>::quiet_NaN();
+  return v != nullptr ? v->number_or(fallback) : fallback;
+}
+
+std::string JsonValue::str_or(std::string_view key,
+                              std::string fallback) const {
+  const JsonValue* v = find(key);
+  return v != nullptr ? v->string_or(std::move(fallback)) : fallback;
+}
+
+bool JsonValue::bool_or(std::string_view key, bool fallback) const {
+  const JsonValue* v = find(key);
+  return v != nullptr && v->is_bool() ? v->boolean : fallback;
 }
 
 namespace {

@@ -90,6 +90,23 @@ class JsonValue {
   std::string string_or(std::string fallback) const {
     return is_string() ? string : std::move(fallback);
   }
+
+  // Member accessors: the member `key` of this object read as the
+  // given type, or `fallback` when this is not an object, the member is
+  // absent, or it has another type.
+  /// Truncating cast of a number member.
+  long long ll_or(std::string_view key, long long fallback) const;
+  int int_or(std::string_view key, int fallback) const {
+    return static_cast<int>(ll_or(key, fallback));
+  }
+  /// Nearest integer (std::llround) of a number member.
+  long long rounded_or(std::string_view key, long long fallback) const;
+  double num_or(std::string_view key, double fallback) const;
+  /// As num_or, but an explicit null reads as NaN — the writer's
+  /// rendering of a non-finite number.
+  double num_or_nan(std::string_view key, double fallback) const;
+  std::string str_or(std::string_view key, std::string fallback) const;
+  bool bool_or(std::string_view key, bool fallback) const;
 };
 
 /// Parse one complete JSON document (trailing whitespace allowed,

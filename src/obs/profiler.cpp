@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -185,26 +184,6 @@ std::uint64_t digest_of(const std::vector<ProfileNode>& nodes) {
   }
   return fp.value();
 }
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "[profile] cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  out << text;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "[profile] short write to %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-// The shared obs::html_escape (obs/report.h) under the name this file
-// historically used.
-std::string html_escape_text(const std::string& s) { return html_escape(s); }
 
 }  // namespace
 
@@ -507,15 +486,10 @@ bool parse_profile(const JsonValue& doc, ProfileDoc* out, std::string* error) {
     return fail("profile: missing nodes array");
 
   ProfileDoc parsed;
-  if (const JsonValue* bench = doc.find("bench"))
-    parsed.bench = bench->string_or("");
-  if (const JsonValue* digest = doc.find("digest"))
-    parsed.digest = digest->string_or("");
-  parsed.root_incl_ms =
-      doc.find("root_incl_ms") ? doc.find("root_incl_ms")->number_or(0.0) : 0.0;
-  parsed.total_excl_ms = doc.find("total_excl_ms")
-                             ? doc.find("total_excl_ms")->number_or(0.0)
-                             : 0.0;
+  parsed.bench = doc.str_or("bench", "");
+  parsed.digest = doc.str_or("digest", "");
+  parsed.root_incl_ms = doc.num_or("root_incl_ms", 0.0);
+  parsed.total_excl_ms = doc.num_or("total_excl_ms", 0.0);
   if (const JsonValue* totals = doc.find("totals")) {
     if (!totals->is_object()) return fail("profile: totals is not an object");
     parsed.totals.alloc_count = u64_field(*totals, "alloc_count");
@@ -546,18 +520,14 @@ bool parse_profile(const JsonValue& doc, ProfileDoc* out, std::string* error) {
     if (path == nullptr || !path->is_string())
       return fail("profile: node missing path");
     node.path = path->string;
-    if (const JsonValue* category = entry.find("category"))
-      node.category = category->string_or("");
-    if (const JsonValue* name = entry.find("name"))
-      node.name = name->string_or("");
+    node.category = entry.str_or("category", "");
+    node.name = entry.str_or("name", "");
     node.depth = static_cast<int>(u64_field(entry, "depth"));
     node.calls = u64_field(entry, "calls");
     node.incl_ns = u64_field(entry, "incl_ns");
     node.excl_ns = u64_field(entry, "excl_ns");
-    node.p50_ns = entry.find("p50_ns") ? entry.find("p50_ns")->number_or(0.0)
-                                       : 0.0;
-    node.p95_ns = entry.find("p95_ns") ? entry.find("p95_ns")->number_or(0.0)
-                                       : 0.0;
+    node.p50_ns = entry.num_or("p50_ns", 0.0);
+    node.p95_ns = entry.num_or("p95_ns", 0.0);
     node.alloc_count = u64_field(entry, "alloc_count");
     node.alloc_bytes = u64_field(entry, "alloc_bytes");
     node.free_count = u64_field(entry, "free_count");
@@ -618,7 +588,7 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
 
   std::string out;
   out += "<!doctype html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n";
-  out += "<title>profile: " + html_escape_text(bench_name) + "</title>\n";
+  out += "<title>profile: " + html_escape(bench_name) + "</title>\n";
   out +=
       "<style>\n"
       "body{font-family:monospace;background:#1b1b1f;color:#d8d8d8;"
@@ -636,7 +606,7 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
       "td,th{border:1px solid #3a3a40;padding:3px 8px;text-align:right;}\n"
       "td.p,th.p{text-align:left;}\n"
       "</style>\n</head>\n<body>\n";
-  out += "<h1>profile: " + html_escape_text(bench_name) + "</h1>\n";
+  out += "<h1>profile: " + html_escape(bench_name) + "</h1>\n";
   {
     char sub[256];
     std::snprintf(sub, sizeof(sub),
@@ -667,11 +637,11 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
         "width:%.2f%%\" title=\"%s — incl %.2f ms, excl %.2f ms, "
         "calls %" PRIu64 ", alloc %" PRIu64 " (%.1f KiB)\"></div>"
         "<div class=\"lbl\" style=\"left:%.1f%%\">%s</div></div>\n",
-        color, left, width, html_escape_text(node.path).c_str(),
+        color, left, width, html_escape(node.path).c_str(),
         static_cast<double>(node.incl_ns) / 1e6,
         static_cast<double>(node.excl_ns) / 1e6, node.calls,
         node.alloc_count, static_cast<double>(node.alloc_bytes) / 1024.0,
-        left, html_escape_text(node.category + "." + node.name).c_str());
+        left, html_escape(node.category + "." + node.name).c_str());
     out += row;
   }
 
@@ -685,7 +655,7 @@ std::string profile_html(const std::vector<ProfileNode>& nodes,
                   "<tr><td class=\"p\">%s</td><td>%" PRIu64
                   "</td><td>%.2f</td><td>%.2f</td><td>%.3f</td><td>%.3f</td>"
                   "<td>%" PRIu64 "</td><td>%.1f</td><td>%.1f</td></tr>\n",
-                  html_escape_text(node.path).c_str(), node.calls,
+                  html_escape(node.path).c_str(), node.calls,
                   static_cast<double>(node.incl_ns) / 1e6,
                   static_cast<double>(node.excl_ns) / 1e6, node.p50_ns / 1e6,
                   node.p95_ns / 1e6, node.alloc_count,
@@ -703,28 +673,14 @@ bool write_profile_report(const Profiler& profiler,
   std::vector<ProfileNode> nodes = profiler.snapshot();
   ProfileTotals totals = profiler.totals();
 
-  std::string json_file = bench_name + ".profile.json";
-  std::string html_file = bench_name + ".profile.html";
-  std::string json_path = dir + "/" + json_file;
-  std::string html_path = dir + "/" + html_file;
-  bool ok = write_text_file(json_path, profile_json(profiler, bench_name));
-  ok = write_text_file(html_path,
-                       profile_html(nodes, totals, bench_name)) &&
-       ok;
-
-  std::string table = hotspot_table(nodes);
-  std::printf("[profile] %s hotspots (by exclusive time):\n%s", bench_name.c_str(),
-              table.c_str());
-  std::printf("[profile] allocs %" PRIu64 " (%.1f MiB), peak live %.1f MiB; "
-              "report: %s\n",
+  std::printf("[profile] %s hotspots (by exclusive time):\n%s",
+              bench_name.c_str(), hotspot_table(nodes).c_str());
+  std::printf("[profile] allocs %" PRIu64 " (%.1f MiB), peak live %.1f MiB\n",
               totals.alloc_count,
               static_cast<double>(totals.alloc_bytes) / (1024.0 * 1024.0),
-              static_cast<double>(totals.peak_live_bytes) / (1024.0 * 1024.0),
-              html_path.c_str());
+              static_cast<double>(totals.peak_live_bytes) / (1024.0 * 1024.0));
 
   if (manifest != nullptr) {
-    manifest->add_artifact(json_file);
-    manifest->add_artifact(html_file);
     // String field, not a manifest digest: the digest is sensitive to the
     // executed code path (e.g. model-cache cold vs warm), so it must not
     // become a hard-equality baseline metric; profile.json carries it for
@@ -737,7 +693,11 @@ bool write_profile_report(const Profiler& profiler,
     manifest->set_field("profile_peak_live_bytes",
                         static_cast<double>(totals.peak_live_bytes));
   }
-  return ok;
+  return write_report_files(
+      "profile", dir,
+      {{bench_name + ".profile.json", profile_json(profiler, bench_name)},
+       {bench_name + ".profile.html", profile_html(nodes, totals, bench_name)}},
+      "", manifest);
 }
 
 }  // namespace edgestab::obs

@@ -1,5 +1,6 @@
 #include "obs/report.h"
 
+#include <cstdarg>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "obs/timeline/timeline.h"
 #include "obs/timeline/timeline_report.h"
 #include "obs/trace.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/hashing.h"
@@ -21,18 +23,6 @@
 namespace edgestab::obs {
 
 namespace {
-
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
-  return ok;
-}
 
 void emit_stat(JsonWriter& w, const char* key, const DriftStat& s) {
   w.key(key);
@@ -72,12 +62,6 @@ void emit_quantiles(JsonWriter& w, const char* key, const Quantiles& q) {
   w.end_object();
 }
 
-std::string fmt(double v, int decimals = 3) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
-}
-
 void td(std::string& html, const std::string& v, bool left = false) {
   html += left ? "<td class=l>" : "<td>";
   html += html_escape(v);
@@ -99,6 +83,38 @@ std::string html_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string fmt(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
+void appendf(std::string& out, const char* format, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
+  out += buf;
+}
+
+bool write_report_files(const std::string& tag, const std::string& dir,
+                        const std::vector<ReportFile>& files,
+                        const std::string& summary, RunManifest* manifest) {
+  bool ok = true;
+  std::string line = "[" + tag + "] " + dir + "/";
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const bool landed =
+        write_text_file(dir + "/" + files[i].name, files[i].text);
+    if (landed && manifest != nullptr) manifest->add_artifact(files[i].name);
+    ok = ok && landed;
+    line += (i > 0 ? " + " : "") + files[i].name;
+  }
+  if (!summary.empty()) line += " (" + summary + ")";
+  if (ok) std::printf("%s\n", line.c_str());
+  return ok;
 }
 
 std::string drift_json(const DriftAuditor& auditor,
@@ -457,25 +473,15 @@ bool write_drift_report(const DriftAuditor& auditor,
                         const std::string& bench_name, const std::string& dir,
                         RunManifest* manifest) {
   std::string json = drift_json(auditor, bench_name);
-  std::string json_file = bench_name + ".drift.json";
-  std::string html_file = bench_name + ".drift.html";
-  bool ok = write_text_file(dir + "/" + json_file, json);
-  ok = write_text_file(dir + "/" + html_file,
-                       drift_html(auditor, bench_name)) &&
-       ok;
-  if (ok) {
-    std::printf("[drift] %s/%s + %s\n", dir.c_str(), json_file.c_str(),
-                html_file.c_str());
-  }
   if (manifest != nullptr) {
     manifest->add_digest("drift_report", fnv1a64(json));
     manifest->add_digest("drift_flip_ledger", auditor.ledger().digest());
-    if (ok) {
-      manifest->add_artifact(json_file);
-      manifest->add_artifact(html_file);
-    }
   }
-  return ok;
+  return write_report_files(
+      "drift", dir,
+      {{bench_name + ".drift.json", std::move(json)},
+       {bench_name + ".drift.html", drift_html(auditor, bench_name)}},
+      "", manifest);
 }
 
 bool export_run_artifacts(const std::string& bench_name,
@@ -569,7 +575,7 @@ bool export_run_artifacts(const std::string& bench_name,
   if (timeline_enabled()) {
     TimelineDoc timeline = TimelineRecorder::global().snapshot();
     timeline.bench = bench_name;
-    write_timeline_report(timeline, dir, &manifest);
+    ok = write_timeline_report(timeline, dir, &manifest) && ok;
   }
 
   std::string meta = dir + "/" + bench_name + ".meta.json";

@@ -1,4 +1,5 @@
-// Drift report exporters + the shared end-of-run artifact export.
+// Drift report exporters, the formatting and file-writing helpers every
+// report exporter shares, and the shared end-of-run artifact export.
 //
 // `drift_json` / `drift_html` render the DriftAuditor's accumulated
 // state — drift-by-stage tables, logit-drift distributions (p50/p95/p99
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "obs/drift.h"
 #include "obs/manifest.h"
@@ -27,6 +29,29 @@ namespace edgestab::obs {
 /// must route user-influenced strings — device names, metric labels,
 /// rule names — through.
 std::string html_escape(const std::string& s);
+
+/// `v` in fixed-point notation with `decimals` digits after the point.
+std::string fmt(double v, int decimals = 3);
+
+/// printf-style append to `out` (one call renders at most 511 bytes).
+void appendf(std::string& out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// One rendered file of a report: its name inside the out-dir + text.
+struct ReportFile {
+  std::string name;
+  std::string text;
+};
+
+/// The write step every report exporter (drift, profile, fleet,
+/// timeline) shares: write each file into `dir`, print one
+/// "[tag] dir/a + b" line (with " (summary)" when `summary` is
+/// non-empty) once all of them landed, and register each file that
+/// landed as an artifact on `manifest` when given. False when any
+/// write failed.
+bool write_report_files(const std::string& tag, const std::string& dir,
+                        const std::vector<ReportFile>& files,
+                        const std::string& summary, RunManifest* manifest);
 
 /// JSON document (schema "edgestab-drift-report-v1") of the auditor's
 /// full state.

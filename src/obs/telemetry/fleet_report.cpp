@@ -13,24 +13,6 @@ namespace edgestab::obs {
 
 namespace {
 
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[fleet] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[fleet] short write to %s\n", path.c_str());
-  return ok;
-}
-
-std::string fmt(double v, int decimals = 3) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
-}
-
 const char* transition_level(HealthStatus to) {
   switch (to) {
     case HealthStatus::kQuarantined: return "critical";
@@ -135,33 +117,6 @@ bool parse_severity(const std::string& name, AlertSeverity* out) {
   else if (name == "critical") *out = AlertSeverity::kCritical;
   else return false;
   return true;
-}
-
-long long ll_or(const JsonValue& obj, const char* key, long long fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number()
-             ? static_cast<long long>(v->number)
-             : fallback;
-}
-
-int int_or(const JsonValue& obj, const char* key, int fallback) {
-  return static_cast<int>(ll_or(obj, key, fallback));
-}
-
-double num_or(const JsonValue& obj, const char* key, double fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr ? v->number_or(fallback) : fallback;
-}
-
-std::string str_or(const JsonValue& obj, const char* key,
-                   const std::string& fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr ? v->string_or(fallback) : fallback;
-}
-
-bool bool_or(const JsonValue& obj, const char* key, bool fallback) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_bool() ? v->boolean : fallback;
 }
 
 }  // namespace
@@ -460,21 +415,8 @@ std::string fleet_text(const FleetHealthReport& report) {
 bool write_fleet_report(const FleetHealthReport& report,
                         const std::string& bench_name, const std::string& dir,
                         RunManifest* manifest) {
-  const std::string json = fleet_json(report, bench_name);
-  const std::string events = events_jsonl(report, bench_name);
-  const std::string json_file = bench_name + ".fleet.json";
-  const std::string html_file = bench_name + ".fleet.html";
-  const std::string events_file = bench_name + ".events.jsonl";
-  bool ok = write_text_file(dir + "/" + json_file, json);
-  ok = write_text_file(dir + "/" + html_file,
-                       fleet_html(report, bench_name)) &&
-       ok;
-  ok = write_text_file(dir + "/" + events_file, events) && ok;
-  if (ok) {
-    std::printf("[fleet] %s/%s + %s + %s (%lld alerts)\n", dir.c_str(),
-                json_file.c_str(), html_file.c_str(), events_file.c_str(),
-                report.alerts_total);
-  }
+  std::string json = fleet_json(report, bench_name);
+  std::string events = events_jsonl(report, bench_name);
   if (manifest != nullptr) {
     manifest->add_digest("alert_ledger", report.alerts.digest());
     manifest->add_digest("fleet_report", fnv1a64(json));
@@ -487,13 +429,13 @@ bool write_fleet_report(const FleetHealthReport& report,
                         static_cast<double>(report.devices_degraded));
     manifest->set_field("telemetry_devices_quarantined",
                         static_cast<double>(report.devices_quarantined));
-    if (ok) {
-      manifest->add_artifact(json_file);
-      manifest->add_artifact(html_file);
-      manifest->add_artifact(events_file);
-    }
   }
-  return ok;
+  return write_report_files(
+      "fleet", dir,
+      {{bench_name + ".fleet.json", std::move(json)},
+       {bench_name + ".fleet.html", fleet_html(report, bench_name)},
+       {bench_name + ".events.jsonl", std::move(events)}},
+      std::to_string(report.alerts_total) + " alerts", manifest);
 }
 
 bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
@@ -502,17 +444,17 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
     return false;
   };
   if (!doc.is_object()) return fail("fleet document is not an object");
-  if (str_or(doc, "schema", "") != "edgestab-fleet-v1") {
+  if (doc.str_or("schema", "") != "edgestab-fleet-v1") {
     return fail("not an edgestab-fleet-v1 document");
   }
   FleetDoc parsed;
-  parsed.bench = str_or(doc, "bench", "");
+  parsed.bench = doc.str_or("bench", "");
   FleetHealthReport& report = parsed.report;
-  report.fleet.window_items = int_or(doc, "window_items", 0);
-  report.alerts_total = ll_or(doc, "alerts_total", 0);
-  report.alerts_critical = ll_or(doc, "alerts_critical", 0);
-  report.devices_degraded = ll_or(doc, "devices_degraded", 0);
-  report.devices_quarantined = ll_or(doc, "devices_quarantined", 0);
+  report.fleet.window_items = doc.int_or("window_items", 0);
+  report.alerts_total = doc.ll_or("alerts_total", 0);
+  report.alerts_critical = doc.ll_or("alerts_critical", 0);
+  report.devices_degraded = doc.ll_or("devices_degraded", 0);
+  report.devices_quarantined = doc.ll_or("devices_quarantined", 0);
 
   const JsonValue* devices = doc.find("devices");
   if (devices == nullptr || !devices->is_array()) {
@@ -521,51 +463,51 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
   for (const JsonValue& dv : devices->items) {
     if (!dv.is_object()) return fail("device entry is not an object");
     DeviceHealth d;
-    d.device = int_or(dv, "device", -1);
-    d.label = str_or(dv, "label", "");
-    if (!parse_health_status(str_or(dv, "status", "healthy"), &d.status)) {
+    d.device = dv.int_or("device", -1);
+    d.label = dv.str_or("label", "");
+    if (!parse_health_status(dv.str_or("status", "healthy"), &d.status)) {
       return fail("device " + d.label + " has an unknown status");
     }
-    d.observations = ll_or(dv, "observations", 0);
-    d.flipped_items = ll_or(dv, "flipped_items", 0);
-    d.incorrect_items = ll_or(dv, "incorrect_items", 0);
-    d.flip_rate = num_or(dv, "flip_rate", 0.0);
-    d.shots = ll_or(dv, "shots", 0);
-    d.shots_lost = ll_or(dv, "shots_lost", 0);
-    d.retries = ll_or(dv, "retries", 0);
-    d.fault_events = ll_or(dv, "fault_events", 0);
-    d.latency_p50_ms = num_or(dv, "latency_p50_ms", 0.0);
-    d.latency_p99_ms = num_or(dv, "latency_p99_ms", 0.0);
-    d.drift_comparisons = ll_or(dv, "drift_comparisons", 0);
-    d.drift_psnr_db_mean = num_or(dv, "drift_psnr_db_mean", 0.0);
-    d.coverage_usable = ll_or(dv, "coverage_usable", 0);
-    d.coverage_slots = ll_or(dv, "coverage_slots", -1);
+    d.observations = dv.ll_or("observations", 0);
+    d.flipped_items = dv.ll_or("flipped_items", 0);
+    d.incorrect_items = dv.ll_or("incorrect_items", 0);
+    d.flip_rate = dv.num_or("flip_rate", 0.0);
+    d.shots = dv.ll_or("shots", 0);
+    d.shots_lost = dv.ll_or("shots_lost", 0);
+    d.retries = dv.ll_or("retries", 0);
+    d.fault_events = dv.ll_or("fault_events", 0);
+    d.latency_p50_ms = dv.num_or("latency_p50_ms", 0.0);
+    d.latency_p99_ms = dv.num_or("latency_p99_ms", 0.0);
+    d.drift_comparisons = dv.ll_or("drift_comparisons", 0);
+    d.drift_psnr_db_mean = dv.num_or("drift_psnr_db_mean", 0.0);
+    d.coverage_usable = dv.ll_or("coverage_usable", 0);
+    d.coverage_slots = dv.ll_or("coverage_slots", -1);
     if (const JsonValue* windows = dv.find("windows");
         windows != nullptr && windows->is_array()) {
       for (const JsonValue& wv : windows->items) {
         if (!wv.is_object()) return fail("window entry is not an object");
         DeviceWindowStats s;
-        s.window = int_or(wv, "window", 0);
-        s.item_lo = int_or(wv, "item_lo", 0);
-        s.item_hi = int_or(wv, "item_hi", 0);
-        s.observations = ll_or(wv, "observations", 0);
-        s.flipped_items = ll_or(wv, "flipped_items", 0);
-        s.incorrect_items = ll_or(wv, "incorrect_items", 0);
-        s.flip_rate = num_or(wv, "flip_rate", 0.0);
-        s.shots = ll_or(wv, "shots", 0);
-        s.shots_lost = ll_or(wv, "shots_lost", 0);
-        s.retries = ll_or(wv, "retries", 0);
-        s.fault_events = ll_or(wv, "fault_events", 0);
-        s.loss_rate = num_or(wv, "loss_rate", 0.0);
-        s.retry_rate = num_or(wv, "retry_rate", 0.0);
-        s.latency_p50_ms = num_or(wv, "latency_p50_ms", 0.0);
-        s.latency_p99_ms = num_or(wv, "latency_p99_ms", 0.0);
-        s.latency_max_ms = num_or(wv, "latency_max_ms", 0.0);
-        s.drift_comparisons = ll_or(wv, "drift_comparisons", 0);
-        s.drift_psnr_db_mean = num_or(wv, "drift_psnr_db_mean", 0.0);
-        s.drift_psnr_db_min = num_or(wv, "drift_psnr_db_min", 0.0);
-        s.quarantined = bool_or(wv, "quarantined", false);
-        s.quarantine_item = int_or(wv, "quarantine_item", -1);
+        s.window = wv.int_or("window", 0);
+        s.item_lo = wv.int_or("item_lo", 0);
+        s.item_hi = wv.int_or("item_hi", 0);
+        s.observations = wv.ll_or("observations", 0);
+        s.flipped_items = wv.ll_or("flipped_items", 0);
+        s.incorrect_items = wv.ll_or("incorrect_items", 0);
+        s.flip_rate = wv.num_or("flip_rate", 0.0);
+        s.shots = wv.ll_or("shots", 0);
+        s.shots_lost = wv.ll_or("shots_lost", 0);
+        s.retries = wv.ll_or("retries", 0);
+        s.fault_events = wv.ll_or("fault_events", 0);
+        s.loss_rate = wv.num_or("loss_rate", 0.0);
+        s.retry_rate = wv.num_or("retry_rate", 0.0);
+        s.latency_p50_ms = wv.num_or("latency_p50_ms", 0.0);
+        s.latency_p99_ms = wv.num_or("latency_p99_ms", 0.0);
+        s.latency_max_ms = wv.num_or("latency_max_ms", 0.0);
+        s.drift_comparisons = wv.ll_or("drift_comparisons", 0);
+        s.drift_psnr_db_mean = wv.num_or("drift_psnr_db_mean", 0.0);
+        s.drift_psnr_db_min = wv.num_or("drift_psnr_db_min", 0.0);
+        s.quarantined = wv.bool_or("quarantined", false);
+        s.quarantine_item = wv.int_or("quarantine_item", -1);
         d.windows.push_back(std::move(s));
       }
     }
@@ -574,13 +516,13 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
       for (const JsonValue& tv : transitions->items) {
         if (!tv.is_object()) return fail("transition entry is not an object");
         StatusTransition t;
-        t.window = int_or(tv, "window", 0);
-        t.item_lo = int_or(tv, "item_lo", 0);
-        if (!parse_health_status(str_or(tv, "from", "healthy"), &t.from) ||
-            !parse_health_status(str_or(tv, "to", "healthy"), &t.to)) {
+        t.window = tv.int_or("window", 0);
+        t.item_lo = tv.int_or("item_lo", 0);
+        if (!parse_health_status(tv.str_or("from", "healthy"), &t.from) ||
+            !parse_health_status(tv.str_or("to", "healthy"), &t.to)) {
           return fail("transition has an unknown status");
         }
-        t.reason = str_or(tv, "reason", "");
+        t.reason = tv.str_or("reason", "");
         d.transitions.push_back(std::move(t));
       }
     }
@@ -592,23 +534,23 @@ bool parse_fleet(const JsonValue& doc, FleetDoc* out, std::string* error) {
     for (const JsonValue& av : alerts->items) {
       if (!av.is_object()) return fail("alert entry is not an object");
       Alert a;
-      a.rule = str_or(av, "rule", "");
-      a.metric = str_or(av, "metric", "");
-      if (!parse_severity(str_or(av, "severity", "warning"), &a.severity)) {
+      a.rule = av.str_or("rule", "");
+      a.metric = av.str_or("metric", "");
+      if (!parse_severity(av.str_or("severity", "warning"), &a.severity)) {
         return fail("alert " + a.rule + " has an unknown severity");
       }
-      a.device = int_or(av, "device", -1);
-      a.device_label = str_or(av, "device_label", "");
-      a.window = int_or(av, "window", -1);
-      a.item_lo = int_or(av, "item_lo", 0);
-      a.item_hi = int_or(av, "item_hi", 0);
-      a.item = int_or(av, "item", -1);
-      a.value = num_or(av, "value", 0.0);
-      a.threshold = num_or(av, "threshold", 0.0);
-      a.baseline = num_or(av, "baseline", 0.0);
-      a.numerator = ll_or(av, "numerator", 0);
-      a.denominator = ll_or(av, "denominator", 0);
-      a.detail = str_or(av, "detail", "");
+      a.device = av.int_or("device", -1);
+      a.device_label = av.str_or("device_label", "");
+      a.window = av.int_or("window", -1);
+      a.item_lo = av.int_or("item_lo", 0);
+      a.item_hi = av.int_or("item_hi", 0);
+      a.item = av.int_or("item", -1);
+      a.value = av.num_or("value", 0.0);
+      a.threshold = av.num_or("threshold", 0.0);
+      a.baseline = av.num_or("baseline", 0.0);
+      a.numerator = av.ll_or("numerator", 0);
+      a.denominator = av.ll_or("denominator", 0);
+      a.detail = av.str_or("detail", "");
       report.alerts.record(std::move(a));
     }
   }

@@ -387,56 +387,46 @@ bool DeviceHealthRegistry::restore_state(const std::string& json) {
   devices_.clear();
   live_alerts_.store(0, std::memory_order_relaxed);
   if (!doc.has_value() || !doc->is_object()) return false;
-  const JsonValue* format = doc->find("format");
-  if (format == nullptr ||
-      format->string_or("") != "edgestab-telemetry-state-v1")
+  if (doc->str_or("format", "") != "edgestab-telemetry-state-v1")
     return false;
-  const auto as_ll = [](const JsonValue* v, long long fallback) {
-    return v != nullptr && v->is_number()
-               ? static_cast<long long>(v->number)
-               : fallback;
-  };
-  if (const JsonValue* w = doc->find("window_items"))
-    window_items_ = std::max(1, static_cast<int>(w->number_or(1)));
-  live_alerts_.store(as_ll(doc->find("live_alerts"), 0),
-                     std::memory_order_relaxed);
+  // The window shapes every bucket: a checkpoint cut under another
+  // window cannot continue this run's series, so refuse it rather than
+  // adopt its window.
+  if (doc->int_or("window_items", 0) != window_items_) return false;
+  live_alerts_.store(doc->ll_or("live_alerts", 0), std::memory_order_relaxed);
   const JsonValue* devices = doc->find("devices");
   if (devices == nullptr || !devices->is_array()) return false;
   for (const JsonValue& dev : devices->items) {
     if (!dev.is_object()) return false;
-    const int device = static_cast<int>(as_ll(dev.find("device"), 0));
+    const int device = static_cast<int>(dev.ll_or("device", 0));
     DeviceState& state = devices_[device];
-    if (const JsonValue* label = dev.find("label"))
-      state.label = label->string_or("");
-    state.coverage_usable = as_ll(dev.find("coverage_usable"), 0);
-    state.coverage_slots = as_ll(dev.find("coverage_slots"), -1);
+    state.label = dev.str_or("label", "");
+    state.coverage_usable = dev.ll_or("coverage_usable", 0);
+    state.coverage_slots = dev.ll_or("coverage_slots", -1);
     const JsonValue* windows = dev.find("windows");
     if (windows == nullptr || !windows->is_array()) return false;
     for (const JsonValue& win : windows->items) {
       if (!win.is_object()) return false;
-      Bucket& b = state.windows[static_cast<int>(as_ll(win.find("window"), 0))];
-      b.observations = as_ll(win.find("observations"), 0);
-      b.flipped_items = as_ll(win.find("flipped_items"), 0);
-      b.incorrect_items = as_ll(win.find("incorrect_items"), 0);
-      b.shots = as_ll(win.find("shots"), 0);
-      b.shots_lost = as_ll(win.find("shots_lost"), 0);
-      b.retries = as_ll(win.find("retries"), 0);
-      b.fault_events = as_ll(win.find("fault_events"), 0);
+      Bucket& b = state.windows[static_cast<int>(win.ll_or("window", 0))];
+      b.observations = win.ll_or("observations", 0);
+      b.flipped_items = win.ll_or("flipped_items", 0);
+      b.incorrect_items = win.ll_or("incorrect_items", 0);
+      b.shots = win.ll_or("shots", 0);
+      b.shots_lost = win.ll_or("shots_lost", 0);
+      b.retries = win.ll_or("retries", 0);
+      b.fault_events = win.ll_or("fault_events", 0);
       if (const JsonValue* lat = win.find("latency_us");
           lat != nullptr && lat->is_array()) {
         b.latency_us.reserve(lat->items.size());
         for (const JsonValue& us : lat->items)
           b.latency_us.push_back(static_cast<long long>(us.number_or(0.0)));
       }
-      b.drift_comparisons = as_ll(win.find("drift_comparisons"), 0);
-      b.drift_psnr_mdb_sum = as_ll(win.find("drift_psnr_mdb_sum"), 0);
-      b.drift_psnr_mdb_min = as_ll(win.find("drift_psnr_mdb_min"), 0);
-      if (const JsonValue* q = win.find("quarantined"))
-        b.quarantined = q->is_bool() && q->boolean;
-      b.quarantine_item = static_cast<int>(as_ll(win.find("quarantine_item"),
-                                                 -1));
-      if (const JsonValue* f = win.find("live_loss_flagged"))
-        b.live_loss_flagged = f->is_bool() && f->boolean;
+      b.drift_comparisons = win.ll_or("drift_comparisons", 0);
+      b.drift_psnr_mdb_sum = win.ll_or("drift_psnr_mdb_sum", 0);
+      b.drift_psnr_mdb_min = win.ll_or("drift_psnr_mdb_min", 0);
+      b.quarantined = win.bool_or("quarantined", false);
+      b.quarantine_item = static_cast<int>(win.ll_or("quarantine_item", -1));
+      b.live_loss_flagged = win.bool_or("live_loss_flagged", false);
     }
   }
   return true;

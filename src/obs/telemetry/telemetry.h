@@ -225,9 +225,10 @@ class DeviceHealthRegistry {
   /// half a window's samples already folded).
   std::string serialize_state() const;
 
-  /// Replace the registry contents from serialize_state() output;
-  /// enabled() and the window width survive a malformed document but
-  /// the contents are cleared. Returns false on malformed input.
+  /// Replace the registry contents from serialize_state() output.
+  /// enabled() and the window width are never taken from the document.
+  /// Returns false, with the contents cleared, on malformed input or a
+  /// document cut under a window width other than the live one.
   bool restore_state(const std::string& json);
 
   /// Cheap running alert estimate for the progress heartbeat:

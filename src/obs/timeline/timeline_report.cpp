@@ -1,7 +1,6 @@
 #include "obs/timeline/timeline_report.h"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -9,34 +8,13 @@
 #include "obs/manifest.h"
 #include "obs/report.h"
 #include "util/hashing.h"
+#include "util/table.h"
 
 namespace edgestab::obs {
 
 namespace {
 
 constexpr const char* kTimelineFormat = "edgestab-timeline-v1";
-
-bool write_text_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[timeline] cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[timeline] short write to %s\n", path.c_str());
-  return ok;
-}
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 bool parse_ll(const JsonValue* v, long long* out) {
   if (v == nullptr || !v->is_number()) return false;
@@ -604,28 +582,59 @@ std::string timeline_html(const TimelineDoc& doc) {
   return html;
 }
 
-std::uint64_t write_timeline_report(const TimelineDoc& doc,
-                                    const std::string& dir,
-                                    RunManifest* manifest) {
-  const std::uint64_t digest = timeline_digest(doc);
-  const std::string json_file = doc.bench + ".timeline.json";
-  const std::string html_file = doc.bench + ".timeline.html";
-  bool ok = write_text_file(dir + "/" + json_file, timeline_json(doc));
-  ok = write_text_file(dir + "/" + html_file, timeline_html(doc)) && ok;
-  if (ok) {
-    std::printf("[timeline] %s/%s + %s (%zu epochs, %zu transitions, "
-                "%zu traces)\n",
-                dir.c_str(), json_file.c_str(), html_file.c_str(),
-                doc.epochs.size(), doc.transitions.size(), doc.traces.size());
-  }
-  if (manifest != nullptr) {
-    manifest->add_digest("timeline", digest);
-    if (ok) {
-      manifest->add_artifact(json_file);
-      manifest->add_artifact(html_file);
+std::string timeline_text(const TimelineDoc& doc) {
+  std::string out;
+  appendf(out, "%s — timeline digest %s\n", doc.bench.c_str(),
+          hex_digest(timeline_digest(doc)).c_str());
+  appendf(out,
+          "%zu epoch(s) x %d slots (%lld slots total), trace sample %lld "
+          "ppm\n",
+          doc.epochs.size(), doc.epoch_slots, doc.slots_total,
+          doc.trace_sample_ppm);
+
+  // Per-outcome totals are the sum of the per-epoch deltas; their grand
+  // total must reconcile exactly against the shots the run folded.
+  std::vector<long long> totals(doc.outcomes.size(), 0);
+  long long accounted = 0;
+  for (const TimelineEpoch& e : doc.epochs)
+    for (std::size_t o = 0; o < e.outcomes.size() && o < totals.size(); ++o) {
+      totals[o] += e.outcomes[o];
+      accounted += e.outcomes[o];
     }
+  Table t({"OUTCOME", "SHOTS", "SHARE"});
+  for (std::size_t o = 0; o < doc.outcomes.size(); ++o)
+    t.add_row({doc.outcomes[o], std::to_string(totals[o]),
+               Table::pct(static_cast<double>(totals[o]) /
+                          static_cast<double>(std::max(1LL, accounted)))});
+  out += t.str();
+  appendf(out, "shots accounted: %lld\n", accounted);
+
+  appendf(out, "breaker transitions: %zu\n", doc.transitions.size());
+  if (!doc.transitions.empty()) {
+    Table tt({"DEVICE", "EPOCH", "SLOT", "FROM", "TO", "CAUSE"});
+    for (const BreakerTransition& tr : doc.transitions)
+      tt.add_row({std::to_string(tr.device), std::to_string(tr.epoch),
+                  std::to_string(tr.slot), timeline_census_name(tr.from),
+                  timeline_census_name(tr.to), tr.cause});
+    out += tt.str();
   }
-  return digest;
+  appendf(out, "traces: %zu sampled, %lld dropped at the cap\n",
+          doc.traces.size(), doc.traces_dropped);
+  return out;
+}
+
+bool write_timeline_report(const TimelineDoc& doc, const std::string& dir,
+                           RunManifest* manifest) {
+  if (manifest != nullptr)
+    manifest->add_digest("timeline", timeline_digest(doc));
+  return write_report_files(
+      "timeline", dir,
+      {{doc.bench + ".timeline.json", timeline_json(doc)},
+       {doc.bench + ".timeline.html", timeline_html(doc)}},
+      std::to_string(doc.epochs.size()) + " epochs, " +
+          std::to_string(doc.transitions.size()) + " transitions, " +
+          std::to_string(doc.traces.size()) + " traces",
+      manifest);
 }
 
 }  // namespace edgestab::obs

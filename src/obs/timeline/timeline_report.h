@@ -4,7 +4,7 @@
 // the full-fidelity parser the sentinel uses to re-render both offline.
 //
 // timeline_html is a pure function of the parsed document — the HTML
-// the bench writes and the HTML `edgestab_sentinel timeline` re-renders
+// the bench writes and the HTML `edgestab_sentinel render` re-renders
 // from the JSON are byte-identical, which the timeline gate asserts.
 #pragma once
 
@@ -44,12 +44,15 @@ std::uint64_t timeline_digest(const TimelineDoc& doc);
 /// through obs::html_escape; no scripts.
 std::string timeline_html(const TimelineDoc& doc);
 
+/// Terminal summary: epoch geometry, per-outcome totals reconciled
+/// against the shot count, breaker transitions and sampled traces.
+std::string timeline_text(const TimelineDoc& doc);
+
 /// Write <dir>/<doc.bench>.timeline.json and .timeline.html, register
-/// both as artifacts and add the "timeline" digest to `manifest` (when
-/// non-null). Returns the digest it registered.
-std::uint64_t write_timeline_report(const TimelineDoc& doc,
-                                    const std::string& dir,
-                                    RunManifest* manifest);
+/// the files that landed as artifacts and add the "timeline" digest to
+/// `manifest` (when non-null). False on I/O failure.
+bool write_timeline_report(const TimelineDoc& doc, const std::string& dir,
+                           RunManifest* manifest);
 
 // Shared element codecs — used by timeline_json and by the recorder's
 // checkpoint state serialization (edgestab-timeline-state-v1), so the

@@ -1,11 +1,11 @@
 #include "obs/trace.h"
 
 #include <chrono>
-#include <cstdio>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "util/bytes.h"
 
 namespace edgestab::obs {
 
@@ -205,16 +205,7 @@ std::string chrome_trace_json(const Tracer& tracer) {
 }
 
 bool write_chrome_trace(const Tracer& tracer, const std::string& path) {
-  std::string doc = chrome_trace_json(tracer);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "[obs] short write to %s\n", path.c_str());
-  return ok;
+  return write_text_file(path, chrome_trace_json(tracer));
 }
 
 }  // namespace edgestab::obs

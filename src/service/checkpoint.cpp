@@ -1,7 +1,6 @@
 #include "service/checkpoint.h"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -10,6 +9,8 @@
 #endif
 
 #include "obs/json.h"
+#include "obs/manifest.h"
+#include "util/bytes.h"
 #include "util/hashing.h"
 
 namespace edgestab::service {
@@ -20,13 +21,7 @@ using obs::JsonValue;
 using obs::JsonWriter;
 
 // The JSON number lane is a double (2^53 mantissa), so 64-bit digests
-// travel as hex strings; plain counters stay numeric.
-std::string u64_hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return std::string(buf);
-}
-
+// travel as hex strings (obs::hex_digest); plain counters stay numeric.
 bool parse_u64_hex(const JsonValue* v, std::uint64_t* out) {
   if (v == nullptr || !v->is_string()) return false;
   char* end = nullptr;
@@ -36,17 +31,6 @@ bool parse_u64_hex(const JsonValue* v, std::uint64_t* out) {
     return false;
   *out = parsed;
   return true;
-}
-
-long long ll_or(const JsonValue* v, long long fallback) {
-  return v != nullptr && v->is_number()
-             ? static_cast<long long>(v->number)
-             : fallback;
-}
-
-int int_or(const JsonValue* v, int fallback) {
-  return v != nullptr && v->is_number() ? static_cast<int>(v->number)
-                                        : fallback;
 }
 
 void write_aggregate(JsonWriter& w, const AggregateState& agg) {
@@ -77,7 +61,7 @@ void write_aggregate(JsonWriter& w, const AggregateState& agg) {
       .value(static_cast<std::int64_t>(agg.all_correct_slots));
   w.key("all_incorrect_slots")
       .value(static_cast<std::int64_t>(agg.all_incorrect_slots));
-  w.key("digest_chain").value(u64_hex(agg.digest_chain));
+  w.key("digest_chain").value(obs::hex_digest(agg.digest_chain));
   w.key("latency_hist_100us").begin_array();
   for (const auto& [bucket, count] : agg.latency_hist_100us) {
     w.begin_array();
@@ -107,24 +91,24 @@ void write_aggregate(JsonWriter& w, const AggregateState& agg) {
 
 bool parse_aggregate(const JsonValue& v, AggregateState* out) {
   if (!v.is_object()) return false;
-  out->slots_folded = ll_or(v.find("slots_folded"), 0);
-  out->shots_folded = ll_or(v.find("shots_folded"), 0);
-  out->ok = ll_or(v.find("ok"), 0);
-  out->correct = ll_or(v.find("correct"), 0);
-  out->shed = ll_or(v.find("shed"), 0);
-  out->rejected = ll_or(v.find("rejected"), 0);
-  out->timeouts = ll_or(v.find("timeouts"), 0);
-  out->capture_lost = ll_or(v.find("capture_lost"), 0);
-  out->decode_lost = ll_or(v.find("decode_lost"), 0);
-  out->fault_events = ll_or(v.find("fault_events"), 0);
-  out->retries = ll_or(v.find("retries"), 0);
-  out->slots_fully_covered = ll_or(v.find("slots_fully_covered"), 0);
-  out->slots_degraded = ll_or(v.find("slots_degraded"), 0);
-  out->slots_lost = ll_or(v.find("slots_lost"), 0);
-  out->slots_observed = ll_or(v.find("slots_observed"), 0);
-  out->unstable_slots = ll_or(v.find("unstable_slots"), 0);
-  out->all_correct_slots = ll_or(v.find("all_correct_slots"), 0);
-  out->all_incorrect_slots = ll_or(v.find("all_incorrect_slots"), 0);
+  out->slots_folded = v.ll_or("slots_folded", 0);
+  out->shots_folded = v.ll_or("shots_folded", 0);
+  out->ok = v.ll_or("ok", 0);
+  out->correct = v.ll_or("correct", 0);
+  out->shed = v.ll_or("shed", 0);
+  out->rejected = v.ll_or("rejected", 0);
+  out->timeouts = v.ll_or("timeouts", 0);
+  out->capture_lost = v.ll_or("capture_lost", 0);
+  out->decode_lost = v.ll_or("decode_lost", 0);
+  out->fault_events = v.ll_or("fault_events", 0);
+  out->retries = v.ll_or("retries", 0);
+  out->slots_fully_covered = v.ll_or("slots_fully_covered", 0);
+  out->slots_degraded = v.ll_or("slots_degraded", 0);
+  out->slots_lost = v.ll_or("slots_lost", 0);
+  out->slots_observed = v.ll_or("slots_observed", 0);
+  out->unstable_slots = v.ll_or("unstable_slots", 0);
+  out->all_correct_slots = v.ll_or("all_correct_slots", 0);
+  out->all_incorrect_slots = v.ll_or("all_incorrect_slots", 0);
   if (!parse_u64_hex(v.find("digest_chain"), &out->digest_chain))
     return false;
   const JsonValue* hist = v.find("latency_hist_100us");
@@ -142,14 +126,14 @@ bool parse_aggregate(const JsonValue& v, AggregateState* out) {
   for (const JsonValue& dv : devices->items) {
     if (!dv.is_object()) return false;
     DeviceAggregate d;
-    d.ok = ll_or(dv.find("ok"), 0);
-    d.correct = ll_or(dv.find("correct"), 0);
-    d.shed = ll_or(dv.find("shed"), 0);
-    d.rejected = ll_or(dv.find("rejected"), 0);
-    d.timeouts = ll_or(dv.find("timeouts"), 0);
-    d.capture_lost = ll_or(dv.find("capture_lost"), 0);
-    d.decode_lost = ll_or(dv.find("decode_lost"), 0);
-    d.latency_us_sum = ll_or(dv.find("latency_us_sum"), 0);
+    d.ok = dv.ll_or("ok", 0);
+    d.correct = dv.ll_or("correct", 0);
+    d.shed = dv.ll_or("shed", 0);
+    d.rejected = dv.ll_or("rejected", 0);
+    d.timeouts = dv.ll_or("timeouts", 0);
+    d.capture_lost = dv.ll_or("capture_lost", 0);
+    d.decode_lost = dv.ll_or("decode_lost", 0);
+    d.latency_us_sum = dv.ll_or("latency_us_sum", 0);
     out->devices.push_back(d);
   }
   return true;
@@ -180,26 +164,24 @@ void write_scheduler(JsonWriter& w, const SchedulerState& sched) {
 
 bool parse_scheduler(const JsonValue& v, SchedulerState* out) {
   if (!v.is_object()) return false;
-  out->next_shot = ll_or(v.find("next_shot"), 0);
+  out->next_shot = v.ll_or("next_shot", 0);
   const JsonValue* devices = v.find("devices");
   if (devices == nullptr || !devices->is_array()) return false;
   out->devices.clear();
   for (const JsonValue& dv : devices->items) {
     if (!dv.is_object()) return false;
     DeviceSchedState d;
-    d.breaker.state = int_or(dv.find("state"), 0);
+    d.breaker.state = dv.int_or("state", 0);
     d.breaker.consecutive_timeouts =
-        int_or(dv.find("consecutive_timeouts"), 0);
-    d.breaker.cooldown_left = int_or(dv.find("cooldown_left"), 0);
-    d.breaker.probe_successes = int_or(dv.find("probe_successes"), 0);
-    d.breaker.probe_rounds = int_or(dv.find("probe_rounds"), 0);
-    const JsonValue* sticky = dv.find("sticky");
-    d.breaker.sticky = sticky != nullptr && sticky->is_bool() &&
-                       sticky->boolean;
-    d.breaker.opens = ll_or(dv.find("opens"), 0);
-    d.breaker.closes = ll_or(dv.find("closes"), 0);
-    d.breaker.rejects = ll_or(dv.find("rejects"), 0);
-    d.backlog_us = ll_or(dv.find("backlog_us"), 0);
+        dv.int_or("consecutive_timeouts", 0);
+    d.breaker.cooldown_left = dv.int_or("cooldown_left", 0);
+    d.breaker.probe_successes = dv.int_or("probe_successes", 0);
+    d.breaker.probe_rounds = dv.int_or("probe_rounds", 0);
+    d.breaker.sticky = dv.bool_or("sticky", false);
+    d.breaker.opens = dv.ll_or("opens", 0);
+    d.breaker.closes = dv.ll_or("closes", 0);
+    d.breaker.rejects = dv.ll_or("rejects", 0);
+    d.backlog_us = dv.ll_or("backlog_us", 0);
     out->devices.push_back(d);
   }
   return true;
@@ -215,7 +197,7 @@ std::string serialize_checkpoint(const ServiceCheckpoint& ckpt) {
   JsonWriter w;
   w.begin_object();
   w.key("format").value(kCheckpointFormat);
-  w.key("config_digest").value(u64_hex(ckpt.config_digest));
+  w.key("config_digest").value(obs::hex_digest(ckpt.config_digest));
   w.key("slot").value(static_cast<std::int64_t>(ckpt.slot));
   w.key("aggregate");
   write_aggregate(w, ckpt.agg);
@@ -244,8 +226,7 @@ bool parse_checkpoint(const std::string& json, ServiceCheckpoint* out,
                       std::string* error) {
   std::optional<JsonValue> doc = obs::parse_json(json, error);
   if (!doc.has_value()) return false;
-  const JsonValue* format = doc->find("format");
-  if (format == nullptr || format->string_or("") != kCheckpointFormat) {
+  if (doc->str_or("format", "") != kCheckpointFormat) {
     set_error(error, "not an edgestab-ckpt-v1 document");
     return false;
   }
@@ -254,7 +235,7 @@ bool parse_checkpoint(const std::string& json, ServiceCheckpoint* out,
     set_error(error, "bad config_digest");
     return false;
   }
-  ckpt.slot = ll_or(doc->find("slot"), -1);
+  ckpt.slot = doc->ll_or("slot", -1);
   if (ckpt.slot < 0) {
     set_error(error, "bad slot");
     return false;
@@ -338,18 +319,12 @@ bool write_checkpoint_file(const std::string& path,
 
 bool load_checkpoint_file(const std::string& path, ServiceCheckpoint* out,
                           std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const std::optional<std::string> body = read_text_file(path);
+  if (!body.has_value()) {
     set_error(error, "cannot open checkpoint file");
     return false;
   }
-  std::string body;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-    body.append(buf, n);
-  std::fclose(f);
-  return parse_checkpoint(body, out, error);
+  return parse_checkpoint(*body, out, error);
 }
 
 std::uint64_t checkpoint_digest(const ServiceCheckpoint& ckpt) {

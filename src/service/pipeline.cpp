@@ -836,6 +836,14 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
   ES_CHECK_MSG(config.checkpoint_every_slots <= 0 ||
                    !config.checkpoint_path.empty(),
                "checkpointing needs a checkpoint path");
+  // The fault sites draw from the global injector, while the latency
+  // model and the config digest read config.plan: an injector armed with
+  // another plan would run, and checkpoint, a stream the digest does not
+  // name.
+  const fault::FaultInjector& injector = fault::FaultInjector::global();
+  ES_CHECK_MSG(!injector.enabled() ||
+                   injector.plan().digest() == config.plan.digest(),
+               "the armed fault injector's plan is not config.plan");
   const int devices = config.devices;
   const long long slots = config.shots / devices;
   const std::uint64_t config_digest = service_config_digest(config, model);
@@ -912,14 +920,15 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
     scheduler.restore(ckpt.sched);
     obs::FaultLedger::global().import_group_raw(
         kServiceGroup, std::move(ckpt.ledger_events));
-    if (obs::telemetry_enabled() && !ckpt.telemetry_state.empty())
+    // An armed resume of a checkpoint cut without the recorder would
+    // silently restart its series at the resume slot; refuse instead of
+    // splicing. (An empty telemetry state never restores.)
+    if (obs::telemetry_enabled())
       ES_CHECK_MSG(obs::DeviceHealthRegistry::global().restore_state(
                        ckpt.telemetry_state),
-                   "checkpoint telemetry state is malformed");
+                   "checkpoint telemetry state is missing (cut without "
+                   "--telemetry), malformed, or cut under another window");
     if (obs::timeline_enabled()) {
-      // An armed resume of a timeline-less checkpoint would silently
-      // restart the series at slot 0 while the run resumes mid-stream;
-      // refuse instead of splicing.
       ES_CHECK_MSG(!ckpt.timeline_state.empty(),
                    "checkpoint has no timeline state — it was cut without "
                    "--timeline");
@@ -1176,150 +1185,6 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config) {
       stage_stats("aggregate", 1, done_q, agg_clock),
   };
   return report;
-}
-
-// ---- Soak report JSON ------------------------------------------------------
-
-namespace {
-
-std::string u64_hex_str(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-}  // namespace
-
-std::string serialize_soak_report(const SoakReport& report) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("format").value("edgestab-soak-v1");
-  w.key("completed").value(report.completed);
-  w.key("stopped_at_checkpoint").value(report.stopped_at_checkpoint);
-  w.key("devices").value(report.devices);
-  w.key("shots").value(static_cast<std::int64_t>(report.shots));
-  w.key("slots").value(static_cast<std::int64_t>(report.slots));
-  w.key("resumed_from_slot")
-      .value(static_cast<std::int64_t>(report.resumed_from_slot));
-  w.key("checkpoints_written").value(report.checkpoints_written);
-
-  const AggregateState& agg = report.agg;
-  w.key("aggregate").begin_object();
-  w.key("slots_folded").value(static_cast<std::int64_t>(agg.slots_folded));
-  w.key("shots_folded").value(static_cast<std::int64_t>(agg.shots_folded));
-  w.key("ok").value(static_cast<std::int64_t>(agg.ok));
-  w.key("correct").value(static_cast<std::int64_t>(agg.correct));
-  w.key("shed").value(static_cast<std::int64_t>(agg.shed));
-  w.key("rejected").value(static_cast<std::int64_t>(agg.rejected));
-  w.key("timeouts").value(static_cast<std::int64_t>(agg.timeouts));
-  w.key("capture_lost").value(static_cast<std::int64_t>(agg.capture_lost));
-  w.key("decode_lost").value(static_cast<std::int64_t>(agg.decode_lost));
-  w.key("fault_events").value(static_cast<std::int64_t>(agg.fault_events));
-  w.key("retries").value(static_cast<std::int64_t>(agg.retries));
-  w.key("slots_fully_covered")
-      .value(static_cast<std::int64_t>(agg.slots_fully_covered));
-  w.key("slots_degraded")
-      .value(static_cast<std::int64_t>(agg.slots_degraded));
-  w.key("slots_lost").value(static_cast<std::int64_t>(agg.slots_lost));
-  w.key("slots_observed")
-      .value(static_cast<std::int64_t>(agg.slots_observed));
-  w.key("unstable_slots")
-      .value(static_cast<std::int64_t>(agg.unstable_slots));
-  w.key("all_correct_slots")
-      .value(static_cast<std::int64_t>(agg.all_correct_slots));
-  w.key("all_incorrect_slots")
-      .value(static_cast<std::int64_t>(agg.all_incorrect_slots));
-  w.end_object();
-
-  w.key("breaker").begin_object();
-  w.key("opens").value(static_cast<std::int64_t>(report.breaker_opens));
-  w.key("closes").value(static_cast<std::int64_t>(report.breaker_closes));
-  w.key("rejects").value(static_cast<std::int64_t>(report.breaker_rejects));
-  w.key("open_devices").value(report.open_devices);
-  w.key("half_open_devices").value(report.half_open_devices);
-  w.key("sticky_devices").value(report.sticky_devices);
-  w.end_object();
-
-  w.key("digests").begin_object();
-  w.key("config").value(u64_hex_str(report.config_digest));
-  w.key("aggregate").value(u64_hex_str(report.agg_digest));
-  w.key("ledger").value(u64_hex_str(report.ledger_digest));
-  w.key("breaker").value(u64_hex_str(report.breaker_digest));
-  w.key("telemetry").value(u64_hex_str(report.telemetry_digest));
-  w.end_object();
-
-  w.key("latency_us").begin_object();
-  w.key("p50").value(static_cast<std::int64_t>(report.latency_p50_us));
-  w.key("p99").value(static_cast<std::int64_t>(report.latency_p99_us));
-  w.key("p999").value(static_cast<std::int64_t>(report.latency_p999_us));
-  w.key("max").value(static_cast<std::int64_t>(report.latency_max_us));
-  w.end_object();
-
-  // Observational wall-clock half (never digested, varies per run).
-  w.key("wall_seconds").value(report.wall_seconds);
-  w.key("shots_per_second").value(report.shots_per_second);
-  w.key("stages").begin_array();
-  for (const StageStats& s : report.stages) {
-    w.begin_object();
-    w.key("name").value(s.name);
-    w.key("workers").value(s.workers);
-    w.key("capacity").value(static_cast<std::int64_t>(s.capacity));
-    w.key("high_water").value(static_cast<std::int64_t>(s.high_water));
-    w.key("processed").value(static_cast<std::int64_t>(s.processed));
-    w.key("busy_ms").value(s.busy_ms);
-    w.key("blocked_pop_ms").value(s.blocked_pop_ms);
-    w.key("blocked_push_ms").value(s.blocked_push_ms);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("device_rows").begin_array();
-  for (std::size_t d = 0; d < agg.devices.size(); ++d) {
-    const DeviceAggregate& row = agg.devices[d];
-    w.begin_object();
-    w.key("device").value(static_cast<std::int64_t>(d));
-    w.key("ok").value(static_cast<std::int64_t>(row.ok));
-    w.key("correct").value(static_cast<std::int64_t>(row.correct));
-    w.key("shed").value(static_cast<std::int64_t>(row.shed));
-    w.key("rejected").value(static_cast<std::int64_t>(row.rejected));
-    w.key("timeouts").value(static_cast<std::int64_t>(row.timeouts));
-    w.key("capture_lost")
-        .value(static_cast<std::int64_t>(row.capture_lost));
-    w.key("decode_lost")
-        .value(static_cast<std::int64_t>(row.decode_lost));
-    w.key("latency_us_sum")
-        .value(static_cast<std::int64_t>(row.latency_us_sum));
-    if (d < report.sched.devices.size()) {
-      const BreakerSnapshot& b = report.sched.devices[d].breaker;
-      w.key("breaker_state")
-          .value(breaker_state_name(static_cast<BreakerState>(b.state)));
-      w.key("breaker_sticky").value(b.sticky);
-      w.key("breaker_opens").value(static_cast<std::int64_t>(b.opens));
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-bool write_soak_report_file(const std::string& path,
-                            const SoakReport& report, std::string* error) {
-  const std::string body = serialize_soak_report(report);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  const bool ok =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!(ok && closed)) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace edgestab::service

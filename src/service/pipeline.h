@@ -32,6 +32,10 @@
 #include "service/breaker.h"
 #include "service/state.h"
 
+namespace edgestab::obs {
+class JsonValue;
+}
+
 namespace edgestab::service {
 
 /// Exit code of a --kill-after-checkpoint hard kill (std::_Exit right
@@ -156,10 +160,15 @@ SoakReport run_fleet_service(Model& model, const ServiceConfig& config);
 std::uint64_t ledger_events_digest(
     const std::vector<obs::FaultEvent>& events);
 
-/// Soak report JSON ("edgestab-soak-v1") — what `edgestab_sentinel soak
-/// FILE` re-renders offline.
+/// Soak report JSON ("edgestab-soak-v1") — what `edgestab_sentinel
+/// render FILE` re-renders offline.
 std::string serialize_soak_report(const SoakReport& report);
-bool write_soak_report_file(const std::string& path,
-                            const SoakReport& report, std::string* error);
+
+/// Terminal summary of a parsed soak report, headed by `title`: outcome
+/// mix, slot coverage, breaker totals, the modeled latency tail, stage
+/// busy/blocked time, throughput and the `top_devices` devices losing
+/// the most shots (none when 0).
+std::string soak_text(const obs::JsonValue& doc, const std::string& title,
+                      std::size_t top_devices);
 
 }  // namespace edgestab::service

@@ -1,5 +1,6 @@
 #include "util/bytes.h"
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -133,6 +134,34 @@ void write_file(const std::string& path, std::span<const std::uint8_t> data) {
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
   ES_CHECK_MSG(out.good(), "write failed for " << path);
+}
+
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::string text;
+  char buffer[4096];
+  std::size_t got;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
+    text.append(buffer, got);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!ok) return std::nullopt;
+  return text;
+}
+
+bool write_text_file(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (!(std::fclose(f) == 0 && ok)) {
+    std::fprintf(stderr, "short write to %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 bool file_exists(const std::string& path) {

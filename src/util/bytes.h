@@ -3,8 +3,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/alloc_track.h"
@@ -70,6 +72,12 @@ class ByteReader {
 Bytes read_file(const std::string& path);
 /// Write an entire file; throws CheckError on failure.
 void write_file(const std::string& path, std::span<const std::uint8_t> data);
+/// Read an entire file as text; nullopt when it cannot be opened or read.
+std::optional<std::string> read_text_file(const std::string& path);
+/// Write `text` as the whole of `path`. On failure prints one
+/// "cannot open" / "short write" line to stderr and returns false:
+/// artifact exporters report a failed write, they do not throw.
+bool write_text_file(const std::string& path, std::string_view text);
 /// True if the path exists and is a regular file.
 bool file_exists(const std::string& path);
 /// mkdir -p equivalent.

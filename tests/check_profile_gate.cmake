@@ -9,6 +9,7 @@
 #      the JSON must carry the edgestab-profile-v1 schema, the hotspot
 #      table must hit stdout, and every CSV must be byte-identical to
 #      the unprofiled reference.
+#      `sentinel render` re-renders its top-3 hotspots offline.
 #   3. Run --profile --threads 2: the profile digest and the allocation
 #      totals must be bit-identical to the single-threaded run (the
 #      lane-merge determinism contract), CSVs again byte-identical.
@@ -105,6 +106,18 @@ if(t1_alloc_count EQUAL 0)
   message(FATAL_ERROR "profiled run attributed zero allocations")
 endif()
 check_csvs_match("profiled t1 run")
+
+# The offline re-render of the same profile: the top-3 hotspot table.
+execute_process(
+  COMMAND "${SENTINEL_EXE}" render bench_out/fig3.profile.json --top 3
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "sentinel render (profile) exited ${rc}:\n${out}${err}")
+endif()
+if(NOT out MATCHES "profile digest ${t1_digest}" OR NOT out MATCHES "excl_ms")
+  message(FATAL_ERROR "sentinel render printed no hotspot table:\n${out}")
+endif()
 
 # --- 3. profiled two-thread run: lane-merge determinism ------------------
 run_bench("profiled t2 run" t2_out --threads 2 --profile)

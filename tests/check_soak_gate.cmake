@@ -9,7 +9,7 @@
 #   3. same soak at --threads 4                 -> digests == D
 #   4. same soak with --kill-after-ckpt 2       -> must exit 7
 #   5. --resume from the surviving checkpoint   -> digests == D
-#   6. edgestab_sentinel soak <report>          -> renders, mentions resume
+#   6. edgestab_sentinel render <report>        -> renders, mentions resume
 #   7. --backend int8 --batch 64 at --threads 1 and 4 -> equal digests
 #      (--batch no longer shapes the service, where each develop worker
 #      classifies its own shot; the leg still pins that the flag cannot
@@ -111,13 +111,13 @@ endif()
 
 message(STATUS "==== soak_gate: sentinel offline render ====")
 execute_process(
-  COMMAND "${SENTINEL_EXE}" soak "${WORK_DIR}/resumed.soak.json"
+  COMMAND "${SENTINEL_EXE}" render "${WORK_DIR}/resumed.soak.json"
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE out)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "soak_gate: sentinel soak failed with ${rc}:\n${out}")
+  message(FATAL_ERROR "soak_gate: sentinel render failed with ${rc}:\n${out}")
 endif()
 if(NOT out MATCHES "resumed from slot" OR NOT out MATCHES "OUTCOME" OR
    NOT out MATCHES "BUSY-MS")

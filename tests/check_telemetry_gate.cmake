@@ -12,8 +12,8 @@
 #   3. Run --telemetry --threads 2: fleet.json and events.jsonl must be
 #      byte-identical to the single-threaded run and the alert-ledger
 #      digest in the manifest bit-identical (lane-merge determinism).
-#   4. `sentinel fleet` re-renders the dashboard offline from fleet.json
-#      in both text and html formats.
+#   4. `sentinel render` re-renders the dashboard offline from fleet.json
+#      as text and, with --out, as HTML byte-identical to fleet.html.
 #   5. Promote the candidate BENCH_fig3.json — which must carry the
 #      telemetry headline metrics — and re-run telemetered: `sentinel
 #      compare` must exit 0 with zero regressed metrics.
@@ -136,26 +136,36 @@ check_csvs_match("telemetry t2 run")
 
 # --- 4. offline re-render via the sentinel -------------------------------
 execute_process(
-  COMMAND "${SENTINEL_EXE}" fleet bench_out/fig3.fleet.json
+  COMMAND "${SENTINEL_EXE}" render bench_out/fig3.fleet.json
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "sentinel fleet (text) exited ${rc}:\n${out}${err}")
+  message(FATAL_ERROR "sentinel render (text) exited ${rc}:\n${out}${err}")
 endif()
 if(NOT out MATCHES "fleet health" OR NOT out MATCHES "${t1_digest}")
   message(FATAL_ERROR
-    "sentinel fleet rendered no per-device table / digest:\n${out}")
+    "sentinel render rendered no per-device table / digest:\n${out}")
 endif()
 execute_process(
-  COMMAND "${SENTINEL_EXE}" fleet bench_out/fig3.fleet.json
-    --format html --out rerender.html
+  COMMAND "${SENTINEL_EXE}" render bench_out/fig3.fleet.json
+    --out rerender.html
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "sentinel fleet (html) exited ${rc}:\n${out}${err}")
+  message(FATAL_ERROR "sentinel render (html) exited ${rc}:\n${out}${err}")
 endif()
 if(NOT EXISTS "${WORK_DIR}/rerender.html")
-  message(FATAL_ERROR "sentinel fleet --format html wrote no file")
+  message(FATAL_ERROR "sentinel render --out wrote no file")
+endif()
+# The dashboard is a pure function of fleet.json: the offline re-render
+# must be byte-identical to the one the bench wrote.
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+    "${WORK_DIR}/rerender.html" "${WORK_DIR}/bench_out/fig3.fleet.html"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+    "sentinel render --out is not byte-identical to bench_out/fig3.fleet.html")
 endif()
 
 # --- 5. telemetry metrics must survive a clean sentinel compare ----------

@@ -16,7 +16,7 @@
 #                                           cadence 7: the checkpoint lands
 #                                           mid-epoch)
 #   5. armed --resume                    -> digest.timeline == D
-#   6. edgestab_sentinel timeline FILE   -> "shots accounted: 640" and a
+#   6. edgestab_sentinel render FILE     -> "shots accounted: 640" and a
 #                                           --out re-render byte-identical
 #                                           to the bench's HTML
 #
@@ -138,7 +138,7 @@ endif()
 
 message(STATUS "==== timeline_gate: sentinel reconciliation + re-render ====")
 execute_process(
-  COMMAND "${SENTINEL_EXE}" timeline "${out_dir}/fleet_soak.timeline.json"
+  COMMAND "${SENTINEL_EXE}" render "${out_dir}/fleet_soak.timeline.json"
     --out "${WORK_DIR}/rerender.html"
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE rc
@@ -146,7 +146,7 @@ execute_process(
   ERROR_VARIABLE out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
-    "timeline_gate: sentinel timeline failed with ${rc}:\n${out}")
+    "timeline_gate: sentinel render failed with ${rc}:\n${out}")
 endif()
 # The per-epoch outcome deltas must sum exactly to the run's shot count.
 if(NOT out MATCHES "shots accounted: 640")

@@ -4,7 +4,8 @@
 // minimal JSON parser), the provenance manifest document, the divergence
 // auditor (stage taps, logit drift, prediction-flip ledger), the drift
 // report exporters, and the shared end-of-run artifact export including
-// its failure paths.
+// its failure paths (a failed timeline or profile write fails the export
+// and leaves the unwritten file out of the manifest).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -22,7 +23,9 @@
 #include "obs/flip_ledger.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "obs/profiler.h"
 #include "obs/report.h"
+#include "obs/timeline/timeline.h"
 #include "util/check.h"
 #include "util/csv.h"
 
@@ -973,6 +976,47 @@ TEST(ExportRunArtifacts, DroppedSpansFailTheExport) {
   // through the exit code, not by suppressing the files.
   EXPECT_TRUE(fs::exists(dir / "unit_dropped.trace.json"));
   EXPECT_TRUE(fs::exists(dir / "unit_dropped.meta.json"));
+  fs::remove_all(dir);
+}
+
+TEST(ExportRunArtifacts, FailedTimelineWriteFailsTheExport) {
+  TracerSandbox sandbox;
+  namespace fs = std::filesystem;
+  fs::path dir = scratch_dir("es_export_timeline_blocked");
+  // A directory squatting on the HTML path makes that one write fail.
+  fs::create_directories(dir / "unit_tl.timeline.html");
+  TimelineRecorder& timeline = TimelineRecorder::global();
+  timeline.clear();
+  timeline.set_enabled(true);
+  RunManifest m("unit_tl");
+  const bool ok = export_run_artifacts("unit_tl", dir.string(), m);
+  timeline.set_enabled(false);
+  timeline.clear();
+  EXPECT_FALSE(ok);
+  const std::string doc = m.to_json();
+  EXPECT_NE(doc.find("unit_tl.timeline.json"), std::string::npos);
+  EXPECT_EQ(doc.find("unit_tl.timeline.html"), std::string::npos);
+  fs::remove_all(dir);
+}
+
+TEST(ExportRunArtifacts, UnwrittenProfileHtmlIsNotListed) {
+  TracerSandbox sandbox;
+  namespace fs = std::filesystem;
+  fs::path dir = scratch_dir("es_export_profile_blocked");
+  fs::create_directories(dir / "unit_prof.profile.html");
+  Profiler& profiler = Profiler::global();
+  profiler.clear();
+  profiler.set_enabled(true);
+  {
+    ProfileScope scope("test", "profiled");
+  }
+  RunManifest m("unit_prof");
+  const bool ok = export_run_artifacts("unit_prof", dir.string(), m);
+  profiler.clear();
+  EXPECT_FALSE(ok);
+  const std::string doc = m.to_json();
+  EXPECT_NE(doc.find("unit_prof.profile.json"), std::string::npos);
+  EXPECT_EQ(doc.find("unit_prof.profile.html"), std::string::npos);
   fs::remove_all(dir);
 }
 

@@ -2,15 +2,18 @@
 // round-trip formatting, run-archive round trips, baseline derivation
 // (median + MAD), and — most importantly — the comparison engine's edge
 // cases: missing baselines, provenance mismatches, zero-MAD baselines,
-// NaN/Inf values, and empty archives.
+// NaN/Inf values, and empty archives. Also the JSON member accessors and
+// the exit codes of `edgestab_sentinel render`'s schema dispatch.
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include "obs/baseline.h"
 #include "obs/compare.h"
@@ -127,6 +130,65 @@ TEST(JsonParser, RoundTripsWriterOutput) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("pi")->number_or(0), 3.141592653589793);
   EXPECT_EQ(doc->find("s")->string_or(""), "quote \" backslash \\ tab \t");
+}
+
+TEST(JsonValue, MemberAccessorsKeepEachConversion) {
+  auto doc = obs::parse_json(
+      R"({"n": 2.7, "neg": -2.7, "s": "x", "b": true, "z": null})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->ll_or("n", 0), 2);  // truncates
+  EXPECT_EQ(doc->ll_or("neg", 0), -2);
+  EXPECT_EQ(doc->int_or("n", 0), 2);
+  EXPECT_EQ(doc->rounded_or("n", 0), 3);  // rounds
+  EXPECT_EQ(doc->rounded_or("neg", 0), -3);
+  EXPECT_EQ(doc->num_or("n", 0.0), 2.7);
+  EXPECT_EQ(doc->str_or("s", "?"), "x");
+  EXPECT_TRUE(doc->bool_or("b", false));
+  // Absent or mistyped members read as the fallback...
+  EXPECT_EQ(doc->ll_or("missing", 7), 7);
+  EXPECT_EQ(doc->ll_or("s", 7), 7);
+  EXPECT_EQ(doc->str_or("n", "?"), "?");
+  EXPECT_FALSE(doc->bool_or("n", false));
+  EXPECT_EQ(doc->num_or("z", 1.5), 1.5);
+  // ...except that num_or_nan reads an explicit null as NaN.
+  EXPECT_TRUE(std::isnan(doc->num_or_nan("z", 1.5)));
+  EXPECT_EQ(doc->num_or_nan("missing", 1.5), 1.5);
+  // A non-object has no members.
+  EXPECT_EQ(doc->find("n")->ll_or("n", 4), 4);
+}
+
+// ---- sentinel render dispatch -----------------------------------------------
+
+int run_sentinel(const std::string& args) {
+  const std::string command =
+      std::string(EDGESTAB_SENTINEL_EXE) + " " + args + " >/dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = temp_path(name);
+  std::ofstream(path) << text;
+  return path;
+}
+
+TEST(SentinelRender, UnknownSchemaExitsOne) {
+  const std::string path =
+      write_temp("es_render_unknown.json", R"({"schema":"edgestab-nope-v9"})");
+  EXPECT_EQ(run_sentinel("render " + path), 1);
+  std::remove(path.c_str());
+}
+
+TEST(SentinelRender, OutOnASchemaWithoutHtmlExitsOne) {
+  const std::string path = write_temp(
+      "es_render_soak.json",
+      R"({"format":"edgestab-soak-v1","devices":2,"slots":1,"shots":2})");
+  const std::string html = temp_path("es_render_soak.html");
+  std::remove(html.c_str());
+  EXPECT_EQ(run_sentinel("render " + path), 0);
+  EXPECT_EQ(run_sentinel("render " + path + " --out " + html), 1);
+  EXPECT_FALSE(std::filesystem::exists(html));
+  std::remove(path.c_str());
 }
 
 // ---- median / MAD ----------------------------------------------------------

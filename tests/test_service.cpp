@@ -563,6 +563,66 @@ TEST(ServicePipeline, ResumeRefusesBackendOrWeightMismatch) {
   std::remove(ckpt_path.c_str());
 }
 
+TEST(ServicePipeline, ResumeRefusesTelemetrySpliceOrWindowChange) {
+  // Telemetry is part of the environment too: a resume must not start
+  // the registry from zero mid-run, nor continue it under another window.
+  Workspace ws;
+  Model model = ws.fresh_model();
+  const std::string ckpt_path =
+      testing::TempDir() + "/edgestab_service_telemetry.ckpt.json";
+  ServiceConfig config = gate_config();
+  config.checkpoint_path = ckpt_path;
+  config.checkpoint_every_slots = 7;
+  config.stop_after_checkpoints = 1;
+  ServiceConfig resume = config;
+  resume.stop_after_checkpoints = 0;
+  resume.resume = true;
+  auto& registry = obs::DeviceHealthRegistry::global();
+  auto& injector = fault::FaultInjector::global();
+
+  // Cut without telemetry, resume with it armed.
+  obs::FaultLedger::global().clear();
+  registry.clear();
+  registry.set_enabled(false);
+  injector.configure(config.plan);
+  (void)run_fleet_service(model, config);
+  obs::FaultLedger::global().clear();
+  registry.set_enabled(true);
+  registry.set_window_items(4);
+  EXPECT_THROW(run_fleet_service(model, resume), CheckError);
+
+  // Cut under a 4-item window, resume under an 8-item one.
+  (void)run_gate(model, config);
+  obs::FaultLedger::global().clear();
+  registry.clear();
+  registry.set_enabled(true);
+  registry.set_window_items(8);
+  injector.configure(config.plan);
+  EXPECT_THROW(run_fleet_service(model, resume), CheckError);
+
+  // The same window still resumes.
+  obs::FaultLedger::global().clear();
+  registry.clear();
+  registry.set_window_items(4);
+  EXPECT_TRUE(run_fleet_service(model, resume).completed);
+  injector.reset();
+  registry.set_enabled(false);
+  std::remove(ckpt_path.c_str());
+}
+
+TEST(ServicePipeline, RefusesAnInjectorPlanOtherThanConfigPlan) {
+  // The fault sites draw from the injector's plan, the config digest
+  // names config.plan: the two must be one plan.
+  Workspace ws;
+  Model model = ws.fresh_model();
+  const ServiceConfig config = gate_config();
+  obs::FaultLedger::global().clear();
+  fault::FaultInjector::global().configure(
+      fault::parse_fault_plan("heavy,budget,deadline_ms=24"));
+  EXPECT_THROW(run_fleet_service(model, config), CheckError);
+  fault::FaultInjector::global().reset();
+}
+
 TEST(ServicePipeline, ShedAccountingNeverSilent) {
   // Every admission decision lands in exactly one outcome bucket and
   // every shed/reject carries a ledger receipt — nothing is silently

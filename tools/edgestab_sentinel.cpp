@@ -15,28 +15,22 @@
 //   edgestab_sentinel list [--runs FILE]
 //     One line per archived run.
 //
-//   edgestab_sentinel hotspots FILE [--top N]
-//     Render the hotspot table of a <bench>.profile.json written by a
-//     --profile run.
-//
-//   edgestab_sentinel fleet FILE [--format text|html] [--out FILE]
-//     Re-render the fleet health dashboard (or the per-device terminal
-//     table) offline from a <bench>.fleet.json written by a --telemetry
-//     run.
-//
-//   edgestab_sentinel soak FILE [--devices N]
-//     Re-render a streaming-service soak report offline from a
-//     <bench>.soak.json written by bench_fleet_soak: outcome mix, stage
-//     queue pressure and busy/blocked time, breaker totals, the modeled
-//     latency tail and the N busiest-failing devices.
-//
-//   edgestab_sentinel timeline FILE [--out FILE]
-//     Summarize a <bench>.timeline.json written by a --timeline run:
-//     epoch geometry, per-outcome totals reconciled against the shot
-//     count, breaker transitions and sampled traces. With --out, re-
-//     render the self-contained timeline.html — byte-identical to the
-//     one the bench wrote, because the HTML is a pure function of the
-//     parsed document.
+//   edgestab_sentinel render FILE [--out FILE] [--top N]
+//     Re-render one run artifact offline, dispatching on the document's
+//     schema (or format) field:
+//       <bench>.profile.json   hotspot table of the N hottest scopes
+//       <bench>.fleet.json     per-device fleet health table + alerts
+//       <bench>.timeline.json  epoch geometry, per-outcome totals
+//                              reconciled against the shot count,
+//                              breaker transitions, sampled traces
+//       <bench>.soak.json      outcome mix, stage busy/blocked time,
+//                              breaker totals, the modeled latency tail
+//                              and the N devices losing the most shots
+//     The text view goes to stdout. --out also writes the document's
+//     self-contained HTML view (fleet and timeline only), byte-identical
+//     to the one the bench wrote: the HTML is a pure function of the
+//     parsed document. Exit 1 on an unknown schema or on --out for a
+//     schema without an HTML view.
 //
 //   edgestab_sentinel prune FILE --keep N
 //     Rewrite the run archive keeping only the newest N records per
@@ -46,8 +40,6 @@
 // Baselines are refreshed with scripts/refresh_baselines.sh, which
 // copies the candidate BENCH_<name>.json files a bench run emits into
 // the committed baselines/ directory.
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,10 +53,11 @@
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/profiler.h"
+#include "obs/report.h"
 #include "obs/telemetry/fleet_report.h"
-#include "obs/timeline/timeline.h"
 #include "obs/timeline/timeline_report.h"
-#include "util/table.h"
+#include "service/pipeline.h"
+#include "util/bytes.h"
 
 using namespace edgestab;
 
@@ -76,16 +69,13 @@ constexpr char kDefaultBaselineDir[] = "baselines";
 int usage() {
   std::fprintf(
       stderr,
-      "usage: edgestab_sentinel <compare|trend|list> [options]\n"
+      "usage: edgestab_sentinel <compare|trend|list|render|prune> [options]\n"
       "  compare --bench NAME [--runs FILE] [--baseline FILE]\n"
       "          [--baseline-dir DIR] [--rel-tol X] [--mad-k X]\n"
       "          [--perf-advisory] [--json]\n"
       "  trend   [--runs FILE] [--out FILE] [--baseline-dir DIR]\n"
       "  list    [--runs FILE]\n"
-      "  hotspots FILE [--top N]\n"
-      "  fleet   FILE [--format text|html] [--out FILE]\n"
-      "  soak    FILE [--devices N]\n"
-      "  timeline FILE [--out FILE]\n"
+      "  render  FILE [--out FILE] [--top N]\n"
       "  prune   FILE --keep N\n");
   return 1;
 }
@@ -104,26 +94,6 @@ bool option_value(int argc, char** argv, int& i, const char* flag,
     return true;
   }
   return false;
-}
-
-bool file_exists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  bool ok = written == doc.size() && std::fclose(f) == 0;
-  if (!ok) std::fprintf(stderr, "sentinel: short write to %s\n", path.c_str());
-  return ok;
 }
 
 int cmd_compare(int argc, char** argv) {
@@ -249,7 +219,8 @@ int cmd_trend(int argc, char** argv) {
                    error.c_str());
   }
 
-  if (!write_file(out_path, obs::trend_html(records, baselines))) return 1;
+  if (!write_text_file(out_path, obs::trend_html(records, baselines)))
+    return 1;
   std::printf("sentinel: %s (%zu run(s), %zu baseline(s))\n",
               out_path.c_str(), records.size(), baselines.size());
   return 0;
@@ -293,215 +264,83 @@ int cmd_list(int argc, char** argv) {
   return 0;
 }
 
-int cmd_hotspots(int argc, char** argv) {
-  std::string path;
-  std::size_t top_n = 12;
+int cmd_render(int argc, char** argv) {
+  std::string path, out_path;
+  long top = -1;  // -1: the view's own default
   for (int i = 2; i < argc; ++i) {
     std::string value;
-    if (option_value(argc, argv, i, "--top", &value)) {
-      top_n = static_cast<std::size_t>(std::atoi(value.c_str()));
-      continue;
-    }
-    if (argv[i][0] == '-') {
-      std::fprintf(stderr, "sentinel: unknown option '%s'\n", argv[i]);
-      return usage();
-    }
-    if (!path.empty()) {
-      std::fprintf(stderr, "sentinel: hotspots takes one profile file\n");
-      return usage();
-    }
-    path = argv[i];
-  }
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "sentinel: hotspots requires a <bench>.profile.json\n");
-    return usage();
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
-  std::string error;
-  std::optional<obs::JsonValue> doc = obs::parse_json(text, &error);
-  if (!doc.has_value()) {
-    std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-  obs::ProfileDoc profile;
-  if (!obs::parse_profile(*doc, &profile, &error)) {
-    std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-
-  std::printf("%s — profile digest %s\n", profile.bench.c_str(),
-              profile.digest.c_str());
-  std::printf("%s", obs::hotspot_table(profile.nodes, top_n).c_str());
-  std::printf(
-      "allocs: %llu (%.2f MiB), peak live %.2f MiB\n",
-      static_cast<unsigned long long>(profile.totals.alloc_count),
-      static_cast<double>(profile.totals.alloc_bytes) / (1024.0 * 1024.0),
-      static_cast<double>(profile.totals.peak_live_bytes) /
-          (1024.0 * 1024.0));
-  return 0;
-}
-
-int cmd_fleet(int argc, char** argv) {
-  std::string path, format = "text", out_path;
-  for (int i = 2; i < argc; ++i) {
-    if (option_value(argc, argv, i, "--format", &format) ||
-        option_value(argc, argv, i, "--out", &out_path))
-      continue;
-    if (argv[i][0] == '-') {
-      std::fprintf(stderr, "sentinel: unknown option '%s'\n", argv[i]);
-      return usage();
-    }
-    if (!path.empty()) {
-      std::fprintf(stderr, "sentinel: fleet takes one fleet.json file\n");
-      return usage();
-    }
-    path = argv[i];
-  }
-  if (path.empty()) {
-    std::fprintf(stderr, "sentinel: fleet requires a <bench>.fleet.json\n");
-    return usage();
-  }
-  if (format != "text" && format != "html") {
-    std::fprintf(stderr, "sentinel: --format must be text or html\n");
-    return usage();
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
-  std::string error;
-  std::optional<obs::JsonValue> doc = obs::parse_json(text, &error);
-  if (!doc.has_value()) {
-    std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-  obs::FleetDoc fleet;
-  if (!obs::parse_fleet(*doc, &fleet, &error)) {
-    std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-
-  if (format == "html") {
-    std::string html = obs::fleet_html(fleet.report, fleet.bench);
-    if (out_path.empty()) {
-      std::printf("%s", html.c_str());
-      return 0;
-    }
-    if (!write_file(out_path, html)) return 1;
-    std::printf("sentinel: %s (%zu device(s), %zu alert(s))\n",
-                out_path.c_str(), fleet.report.fleet.devices.size(),
-                fleet.report.alerts.total());
-    return 0;
-  }
-  std::printf("%s — fleet health (alert digest %s)\n", fleet.bench.c_str(),
-              obs::hex_digest(fleet.report.alerts.digest()).c_str());
-  std::printf("%s", obs::fleet_text(fleet.report).c_str());
-  return 0;
-}
-
-int cmd_timeline(int argc, char** argv) {
-  std::string path, out_path;
-  for (int i = 2; i < argc; ++i) {
     if (option_value(argc, argv, i, "--out", &out_path)) continue;
+    if (option_value(argc, argv, i, "--top", &value)) {
+      top = std::atol(value.c_str());
+      continue;
+    }
     if (argv[i][0] == '-') {
       std::fprintf(stderr, "sentinel: unknown option '%s'\n", argv[i]);
       return usage();
     }
     if (!path.empty()) {
-      std::fprintf(stderr, "sentinel: timeline takes one timeline.json file\n");
+      std::fprintf(stderr, "sentinel: render takes one file\n");
       return usage();
     }
     path = argv[i];
   }
   if (path.empty()) {
-    std::fprintf(stderr,
-                 "sentinel: timeline requires a <bench>.timeline.json\n");
+    std::fprintf(stderr, "sentinel: render requires a FILE\n");
     return usage();
   }
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
+  const auto top_or = [top](std::size_t fallback) {
+    return top < 0 ? fallback : static_cast<std::size_t>(top);
+  };
+  const auto fail = [&path](const std::string& why) {
+    std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), why.c_str());
     return 1;
-  }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
+  };
+  const std::optional<std::string> text = read_text_file(path);
+  if (!text.has_value()) return fail("cannot open");
   std::string error;
-  obs::TimelineDoc doc;
-  if (!obs::parse_timeline(text, &doc, &error)) {
-    std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
-    return 1;
+  const std::optional<obs::JsonValue> doc = obs::parse_json(*text, &error);
+  if (!doc.has_value()) return fail(error);
+  const std::string schema =
+      doc->str_or("schema", doc->str_or("format", ""));
+  std::string view;
+  std::optional<std::string> html;
+  bool parsed = true;
+  if (schema == "edgestab-profile-v1") {
+    obs::ProfileDoc profile;
+    parsed = obs::parse_profile(*doc, &profile, &error);
+    obs::appendf(view, "%s — profile digest %s\n", profile.bench.c_str(),
+                 profile.digest.c_str());
+    view += obs::hotspot_table(profile.nodes, top_or(12));
+    obs::appendf(
+        view, "allocs: %llu (%.2f MiB), peak live %.2f MiB\n",
+        static_cast<unsigned long long>(profile.totals.alloc_count),
+        static_cast<double>(profile.totals.alloc_bytes) / (1024.0 * 1024.0),
+        static_cast<double>(profile.totals.peak_live_bytes) /
+            (1024.0 * 1024.0));
+  } else if (schema == "edgestab-fleet-v1") {
+    obs::FleetDoc fleet;
+    parsed = obs::parse_fleet(*doc, &fleet, &error);
+    view = fleet.bench + " — fleet health (alert digest " +
+           obs::hex_digest(fleet.report.alerts.digest()) + ")\n" +
+           obs::fleet_text(fleet.report);
+    html = obs::fleet_html(fleet.report, fleet.bench);
+  } else if (schema == "edgestab-timeline-v1") {
+    obs::TimelineDoc timeline;
+    parsed = obs::parse_timeline(*text, &timeline, &error);
+    view = obs::timeline_text(timeline);
+    html = obs::timeline_html(timeline);
+  } else if (schema == "edgestab-soak-v1") {
+    view = service::soak_text(*doc, path, top_or(8));
+  } else {
+    return fail("unknown schema '" + schema + "'");
   }
-
-  std::printf("%s — timeline digest %s\n",
-              doc.bench.empty() ? path.c_str() : doc.bench.c_str(),
-              obs::hex_digest(obs::timeline_digest(doc)).c_str());
-  std::printf(
-      "%zu epoch(s) x %d slots (%lld slots total), trace sample %lld ppm\n",
-      doc.epochs.size(), doc.epoch_slots, doc.slots_total,
-      doc.trace_sample_ppm);
-
-  // Per-outcome totals are the sum of the per-epoch deltas; their grand
-  // total must reconcile exactly against the shots the run folded.
-  std::vector<long long> totals(doc.outcomes.size(), 0);
-  long long accounted = 0;
-  for (const obs::TimelineEpoch& e : doc.epochs)
-    for (std::size_t o = 0; o < e.outcomes.size() && o < totals.size(); ++o) {
-      totals[o] += e.outcomes[o];
-      accounted += e.outcomes[o];
-    }
-  Table t({"OUTCOME", "SHOTS", "SHARE"});
-  for (std::size_t o = 0; o < doc.outcomes.size(); ++o)
-    t.add_row({doc.outcomes[o], std::to_string(totals[o]),
-               Table::pct(static_cast<double>(totals[o]) /
-                          static_cast<double>(std::max(1LL, accounted)))});
-  std::printf("%s", t.str().c_str());
-  std::printf("shots accounted: %lld\n", accounted);
-
-  std::printf("breaker transitions: %zu\n", doc.transitions.size());
-  if (!doc.transitions.empty()) {
-    Table tt({"DEVICE", "EPOCH", "SLOT", "FROM", "TO", "CAUSE"});
-    for (const obs::BreakerTransition& tr : doc.transitions)
-      tt.add_row({std::to_string(tr.device), std::to_string(tr.epoch),
-                  std::to_string(tr.slot), obs::timeline_census_name(tr.from),
-                  obs::timeline_census_name(tr.to), tr.cause});
-    std::printf("%s", tt.str().c_str());
-  }
-  std::printf("traces: %zu sampled, %lld dropped at the cap\n",
-              doc.traces.size(), doc.traces_dropped);
-
-  if (!out_path.empty()) {
-    if (!write_file(out_path, obs::timeline_html(doc))) return 1;
-    std::printf("sentinel: %s (%zu epoch(s), %zu transition(s))\n",
-                out_path.c_str(), doc.epochs.size(), doc.transitions.size());
-  }
+  if (!parsed) return fail(error);
+  if (!out_path.empty() && !html.has_value())
+    return fail(schema + " has no HTML view to write to --out");
+  std::printf("%s", view.c_str());
+  if (out_path.empty()) return 0;
+  if (!write_text_file(out_path, *html)) return 1;
+  std::printf("sentinel: %s\n", out_path.c_str());
   return 0;
 }
 
@@ -544,192 +383,13 @@ int cmd_prune(int argc, char** argv) {
 
 }  // namespace
 
-int cmd_soak(int argc, char** argv) {
-  std::string path;
-  int top_devices = 8;
-  for (int i = 2; i < argc; ++i) {
-    std::string value;
-    if (option_value(argc, argv, i, "--devices", &value)) {
-      top_devices = std::atoi(value.c_str());
-      continue;
-    }
-    if (argv[i][0] == '-') {
-      std::fprintf(stderr, "sentinel: unknown option '%s'\n", argv[i]);
-      return usage();
-    }
-    if (!path.empty()) {
-      std::fprintf(stderr, "sentinel: soak takes one soak.json file\n");
-      return usage();
-    }
-    path = argv[i];
-  }
-  if (path.empty()) {
-    std::fprintf(stderr, "sentinel: soak requires a <bench>.soak.json\n");
-    return usage();
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "sentinel: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    text.append(buffer, got);
-  std::fclose(f);
-
-  std::string error;
-  std::optional<obs::JsonValue> doc = obs::parse_json(text, &error);
-  if (!doc.has_value()) {
-    std::fprintf(stderr, "sentinel: %s: %s\n", path.c_str(), error.c_str());
-    return 1;
-  }
-  const obs::JsonValue* format = doc->find("format");
-  if (format == nullptr || format->string_or("") != "edgestab-soak-v1") {
-    std::fprintf(stderr, "sentinel: %s is not an edgestab-soak-v1 report\n",
-                 path.c_str());
-    return 1;
-  }
-
-  auto num = [](const obs::JsonValue* obj, const char* key) -> long long {
-    if (obj == nullptr) return 0;
-    const obs::JsonValue* v = obj->find(key);
-    return v == nullptr
-               ? 0
-               : static_cast<long long>(std::llround(v->number_or(0.0)));
-  };
-  const obs::JsonValue* agg = doc->find("aggregate");
-  const obs::JsonValue* breaker = doc->find("breaker");
-  const obs::JsonValue* digests = doc->find("digests");
-  const obs::JsonValue* latency = doc->find("latency_us");
-
-  const long long shots = num(&*doc, "shots");
-  std::printf("%s — %lld devices x %lld slots (%lld shots)%s\n",
-              path.c_str(), num(&*doc, "devices"), num(&*doc, "slots"),
-              shots,
-              doc->find("completed") != nullptr &&
-                      doc->find("completed")->boolean
-                  ? ""
-                  : " [incomplete]");
-  const long long resumed = num(&*doc, "resumed_from_slot");
-  if (resumed >= 0)
-    std::printf("resumed from slot %lld, %lld checkpoint(s) written\n",
-                resumed, num(&*doc, "checkpoints_written"));
-  if (digests != nullptr) {
-    const obs::JsonValue* a = digests->find("aggregate");
-    const obs::JsonValue* l = digests->find("ledger");
-    const obs::JsonValue* b = digests->find("breaker");
-    std::printf("digests: aggregate %s  ledger %s  breaker %s\n",
-                a ? a->string_or("?").c_str() : "?",
-                l ? l->string_or("?").c_str() : "?",
-                b ? b->string_or("?").c_str() : "?");
-  }
-
-  const long long folded = std::max(1LL, num(agg, "shots_folded"));
-  Table outcomes({"OUTCOME", "SHOTS", "SHARE"});
-  auto outcome_row = [&](const char* label, const char* key) {
-    const long long n = num(agg, key);
-    outcomes.add_row({label, std::to_string(n),
-                      Table::pct(static_cast<double>(n) /
-                                 static_cast<double>(folded))});
-  };
-  outcome_row("ok", "ok");
-  outcome_row("shed", "shed");
-  outcome_row("breaker-reject", "rejected");
-  outcome_row("deadline-timeout", "timeouts");
-  outcome_row("capture-lost", "capture_lost");
-  outcome_row("decode-lost", "decode_lost");
-  std::printf("%s", outcomes.str().c_str());
-  std::printf(
-      "slots: %lld fully covered, %lld degraded, %lld lost; "
-      "%lld unstable of %lld observed\n",
-      num(agg, "slots_fully_covered"), num(agg, "slots_degraded"),
-      num(agg, "slots_lost"), num(agg, "unstable_slots"),
-      num(agg, "slots_observed"));
-  std::printf(
-      "breaker: %lld open(s), %lld close(s), %lld reject(s); end state "
-      "%lld open / %lld half-open / %lld sticky\n",
-      num(breaker, "opens"), num(breaker, "closes"),
-      num(breaker, "rejects"), num(breaker, "open_devices"),
-      num(breaker, "half_open_devices"), num(breaker, "sticky_devices"));
-  if (latency != nullptr)
-    std::printf(
-        "latency (modeled): p50 %.1f ms  p99 %.1f ms  p99.9 %.1f ms  "
-        "max %.1f ms\n",
-        static_cast<double>(num(latency, "p50")) / 1000.0,
-        static_cast<double>(num(latency, "p99")) / 1000.0,
-        static_cast<double>(num(latency, "p999")) / 1000.0,
-        static_cast<double>(num(latency, "max")) / 1000.0);
-
-  const obs::JsonValue* stages = doc->find("stages");
-  if (stages != nullptr && stages->is_array()) {
-    Table t({"STAGE", "WORKERS", "CAP", "HIGH-WATER", "PROCESSED",
-             "BUSY-MS", "POP-WAIT-MS", "PUSH-WAIT-MS"});
-    auto ms = [](const obs::JsonValue& stage, const char* key) {
-      const obs::JsonValue* v = stage.find(key);
-      return Table::num(v == nullptr ? 0.0 : v->number_or(0.0), 1);
-    };
-    for (const obs::JsonValue& s : stages->items) {
-      const obs::JsonValue* name = s.find("name");
-      t.add_row({name ? name->string_or("?") : "?",
-                 std::to_string(num(&s, "workers")),
-                 std::to_string(num(&s, "capacity")),
-                 std::to_string(num(&s, "high_water")),
-                 std::to_string(num(&s, "processed")), ms(s, "busy_ms"),
-                 ms(s, "blocked_pop_ms"), ms(s, "blocked_push_ms")});
-    }
-    std::printf("%s", t.str().c_str());
-  }
-
-  // The N devices losing the most shots, worst first.
-  const obs::JsonValue* rows = doc->find("device_rows");
-  if (rows != nullptr && rows->is_array() && top_devices > 0) {
-    std::vector<const obs::JsonValue*> worst;
-    for (const obs::JsonValue& r : rows->items) worst.push_back(&r);
-    auto lost = [&](const obs::JsonValue* r) {
-      return num(r, "timeouts") + num(r, "rejected") + num(r, "shed") +
-             num(r, "capture_lost") + num(r, "decode_lost");
-    };
-    std::stable_sort(worst.begin(), worst.end(),
-                     [&](const obs::JsonValue* a, const obs::JsonValue* b) {
-                       return lost(a) > lost(b);
-                     });
-    if (worst.size() > static_cast<std::size_t>(top_devices))
-      worst.resize(static_cast<std::size_t>(top_devices));
-    Table t({"DEVICE", "OK", "SHED", "REJECT", "TIMEOUT", "LOST",
-             "BREAKER"});
-    for (const obs::JsonValue* r : worst) {
-      const obs::JsonValue* state = r->find("breaker_state");
-      const obs::JsonValue* sticky = r->find("breaker_sticky");
-      std::string breaker_cell =
-          state != nullptr ? state->string_or("?") : "?";
-      if (sticky != nullptr && sticky->boolean) breaker_cell += " (sticky)";
-      t.add_row({std::to_string(num(r, "device")),
-                 std::to_string(num(r, "ok")),
-                 std::to_string(num(r, "shed")),
-                 std::to_string(num(r, "rejected")),
-                 std::to_string(num(r, "timeouts")),
-                 std::to_string(num(r, "capture_lost") +
-                                num(r, "decode_lost")),
-                 breaker_cell});
-    }
-    std::printf("worst devices:\n%s", t.str().c_str());
-  }
-  return 0;
-}
-
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   std::string command = argv[1];
   if (command == "compare") return cmd_compare(argc, argv);
   if (command == "trend") return cmd_trend(argc, argv);
   if (command == "list") return cmd_list(argc, argv);
-  if (command == "hotspots") return cmd_hotspots(argc, argv);
-  if (command == "fleet") return cmd_fleet(argc, argv);
-  if (command == "soak") return cmd_soak(argc, argv);
-  if (command == "timeline") return cmd_timeline(argc, argv);
+  if (command == "render") return cmd_render(argc, argv);
   if (command == "prune") return cmd_prune(argc, argv);
   std::fprintf(stderr, "sentinel: unknown command '%s'\n", command.c_str());
   return usage();
